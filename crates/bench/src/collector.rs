@@ -612,10 +612,10 @@ pub fn suite() -> Vec<SuiteBench> {
     // wide request degrades to the scalar loops — so the twin exists in
     // every build and the hard counter gate below always holds).
     // Deterministic counters are identical by construction (enforced by
-    // the fleet-identity suite and the test below); wall time is where
-    // the amortisation shows — the fleet twins are expected to beat N
-    // sequential runs at these populations, and `/fleet_simd` to beat
-    // `/fleet` on the divergence-free array family.
+    // the fleet-identity suite and the test below); wall time shows
+    // whether the amortisation pays.  On the uni swarm it does not: the
+    // sequential baseline runs the uni-processor's burst kernel and
+    // beats the `/fleet` twin (README, "Fleet execution").
     benches.push(SuiteBench::new(
         "machine/spin_swarm/uni/96",
         "machine.uni",

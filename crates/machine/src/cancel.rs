@@ -11,10 +11,12 @@
 //!   §9/§10);
 //! * an **asynchronous flag** — an `Arc<AtomicBool>` any thread may
 //!   raise (a service worker observing a client disconnect, an operator
-//!   abort).  Flag cancellation is *prompt* — dense and event loops poll
-//!   it every simulated cycle, the shard coordinator once per slice —
-//!   but the exact stop cycle depends on when the flag was raised, so it
-//!   is not replayable the way a deadline is.
+//!   abort).  Flag cancellation is *prompt* but promises no stop cycle:
+//!   run loops poll the flag at points of their choosing — some every
+//!   simulated cycle, the burst-kernel loops once per quantum of cycles,
+//!   the shard coordinator once per slice — so the stop cycle depends on
+//!   when the flag was raised and is not replayable the way a deadline
+//!   is.
 //!
 //! Both paths surface as the typed
 //! [`MachineError::Cancelled`](crate::error::MachineError::Cancelled)

@@ -1,10 +1,37 @@
 //! The data processor: a register file plus an ALU that executes the
 //! non-fabric instructions against a banked memory.
+//!
+//! [`DataProcessor::run_burst`] is the one tight interpreter loop over
+//! those instructions: the uni-processor runs on it alone, and the MIMD
+//! machine runs every core on it when the cores cannot observe each
+//! other (DESIGN.md §9, temporal decoupling).
 
 use crate::error::MachineError;
+use crate::exec::Stats;
+use crate::fault::FaultPlan;
 use crate::isa::{Instr, Reg, Word, NUM_REGS};
 use crate::mem::BankedMemory;
-use crate::telemetry::{EventKind, Tracer};
+use crate::program::Program;
+use crate::telemetry::{EventKind, FaultKind, Tracer};
+
+/// Cycles a run loop hands [`DataProcessor::run_burst`] at a time.  The
+/// cancellation flag is polled once per quantum, so it bounds how long a
+/// raised flag can go unnoticed; every other outcome is independent of it.
+pub(crate) const QUANTUM: u64 = 1024;
+
+/// Why [`DataProcessor::run_burst`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BurstEnd {
+    /// The cycle bound was reached; the processor can continue.
+    Bound,
+    /// A `Halt` executed (its cycle is charged).
+    Halt,
+    /// The program counter left the program; no cycle is charged.
+    OffEnd,
+    /// The next instruction uses the DP–DP fabric; no cycle is charged
+    /// and the program counter still points at it.
+    Fabric,
+}
 
 /// What the processor should do after executing one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,12 +95,77 @@ impl DataProcessor {
         self.mem_writes = 0;
     }
 
+    /// Run local instructions from `program[*pc]` until the cycle bound,
+    /// a `Halt`, the end of the program, a fabric instruction or an error.
+    ///
+    /// `stats.cycles` is the processor's clock on entry; every executed
+    /// instruction charges one cycle and one `stats.instructions`, and a
+    /// stall that `faults` injects (the hashed `dp_stalled` query, asked
+    /// right before each fetch) charges one cycle and one `stats.stalls`.
+    /// Registers, program counter and clock live in locals for the whole
+    /// burst and are written back on every exit, including errors.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_burst<T: Tracer>(
+        &mut self,
+        program: &Program,
+        pc: &mut usize,
+        mem: &mut BankedMemory,
+        stats: &mut Stats,
+        bound: u64,
+        mut faults: Option<&mut FaultPlan>,
+        tracer: &mut T,
+    ) -> Result<BurstEnd, MachineError> {
+        let instrs = program.instrs();
+        let mut dp = self.clone();
+        let mut at = *pc;
+        let mut cycle = stats.cycles;
+        let (mut issued, mut stalled) = (0u64, 0u64);
+        let end = loop {
+            if cycle >= bound {
+                break Ok(BurstEnd::Bound);
+            }
+            if let Some(plan) = faults.as_deref_mut() {
+                if plan.dp_stalled(cycle + 1, dp.lane) {
+                    cycle += 1;
+                    stalled += 1;
+                    tracer.record(cycle, EventKind::FaultInjected(FaultKind::Stall));
+                    tracer.record(cycle, EventKind::Stall);
+                    continue;
+                }
+            }
+            let Some(&instr) = instrs.get(at) else {
+                break Ok(BurstEnd::OffEnd);
+            };
+            if instr.uses_dp_dp() {
+                break Ok(BurstEnd::Fabric);
+            }
+            cycle += 1;
+            issued += 1;
+            tracer.record(cycle, EventKind::Issue);
+            match dp.execute_traced(instr, mem, cycle, tracer) {
+                Ok(LocalOutcome::Next) => at += 1,
+                Ok(LocalOutcome::Branch(t)) => at = t,
+                Ok(LocalOutcome::Halt) => break Ok(BurstEnd::Halt),
+                Err(e) => break Err(e),
+            }
+        };
+        *self = dp;
+        *pc = at;
+        stats.cycles = cycle;
+        stats.instructions += issued;
+        stats.stalls += stalled;
+        end
+    }
+
     /// Execute one *local* instruction (everything except the DP–DP fabric
-    /// instructions, which need machine-level context).
+    /// instructions, which need machine-level context).  This is the only
+    /// definition of the local ISA semantics; it is inlined into
+    /// [`DataProcessor::run_burst`].
     ///
     /// # Panics
     /// Panics if handed a fabric instruction (`Send`/`Recv`/`GetLane`);
     /// machines must intercept those first.
+    #[inline(always)]
     pub fn execute_local(
         &mut self,
         instr: Instr,
@@ -141,6 +233,7 @@ impl DataProcessor {
     /// internal counters across the call and records one `AluOp` /
     /// `MemRead` / `MemWrite` event per increment.  With a disabled
     /// tracer this is exactly `execute_local` (the diffing is skipped).
+    #[inline(always)]
     pub fn execute_traced<T: Tracer>(
         &mut self,
         instr: Instr,

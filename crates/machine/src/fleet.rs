@@ -631,7 +631,7 @@ impl LaneState {
     }
 
     /// Retire every active instance with the asynchronous-flag error,
-    /// mirroring the per-cycle flag poll of the sequential loops.
+    /// mirroring the flag poll of the sequential loops.
     fn flag_all<T: Tracer>(&mut self, active: &[usize], tracer: &mut T) {
         for &i in active {
             let partial = self.partial(i);

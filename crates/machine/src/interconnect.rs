@@ -94,11 +94,15 @@ impl FabricTopology {
 /// send path is subject to injected link outages ([`MachineError::LinkDown`]),
 /// silent message drops and payload corruption; the owning machine advances
 /// the plan's notion of time with [`Mailboxes::set_cycle`].
+///
+/// The `n * n` channel table is built by the first message that needs it
+/// (a `send` or `deposit`); until then every channel reads as empty, so a
+/// machine that never sends pays nothing for its fabric.
 #[derive(Debug, Clone)]
 pub struct Mailboxes {
     n: usize,
     topology: FabricTopology,
-    queues: Vec<VecDeque<Word>>, // indexed from * n + to
+    queues: Vec<VecDeque<Word>>, // indexed from * n + to; empty until first use
     non_empty: usize,            // channels with at least one queued message
     delivered: u64,
     faults: Option<FaultPlan>,
@@ -111,7 +115,7 @@ impl Mailboxes {
         Mailboxes {
             n,
             topology,
-            queues: vec![VecDeque::new(); n * n],
+            queues: Vec::new(),
             non_empty: 0,
             delivered: 0,
             faults: None,
@@ -170,19 +174,25 @@ impl Mailboxes {
             }
             value = plan.corrupt(value);
         }
-        let queue = &mut self.queues[from * self.n + to];
-        queue.push_back(value);
-        if queue.len() == 1 {
-            self.non_empty += 1;
-        }
+        self.deposit(from, to, value);
         Ok(())
+    }
+
+    /// The channel `from -> to`, building the table on first use.
+    fn channel_mut(&mut self, from: usize, to: usize) -> &mut VecDeque<Word> {
+        if self.queues.is_empty() {
+            self.queues = vec![VecDeque::new(); self.n * self.n];
+        }
+        &mut self.queues[from * self.n + to]
     }
 
     /// Receive at `to` from `from`: `Ok(None)` means the route is legal but
     /// no value has arrived yet (the caller stalls).
     pub fn recv(&mut self, to: usize, from: usize) -> Result<Option<Word>, MachineError> {
         self.topology.route(from, to, self.n)?;
-        let queue = &mut self.queues[from * self.n + to];
+        let Some(queue) = self.queues.get_mut(from * self.n + to) else {
+            return Ok(None);
+        };
         let v = queue.pop_front();
         if v.is_some() {
             self.delivered += 1;
@@ -211,13 +221,16 @@ impl Mailboxes {
         let mut child = Mailboxes::new(self.n, self.topology);
         child.faults = plan;
         child.cycle = self.cycle;
+        if self.non_empty == 0 {
+            return child;
+        }
         for from in 0..self.n {
             for to in to_range.clone() {
                 let idx = from * self.n + to;
                 if !self.queues[idx].is_empty() {
                     self.non_empty -= 1;
                     child.non_empty += 1;
-                    std::mem::swap(&mut self.queues[idx], &mut child.queues[idx]);
+                    std::mem::swap(&mut self.queues[idx], child.channel_mut(from, to));
                 }
             }
         }
@@ -232,7 +245,7 @@ impl Mailboxes {
             if queue.is_empty() {
                 continue;
             }
-            if self.queues[idx].is_empty() {
+            if self.channel_mut(idx / self.n, idx % self.n).is_empty() {
                 self.non_empty += 1;
             }
             self.queues[idx].extend(queue);
@@ -243,7 +256,7 @@ impl Mailboxes {
     /// Enqueue an already-validated message (a staged cross-shard send
     /// whose route and fault checks ran on the sender's side).
     pub fn deposit(&mut self, from: usize, to: usize, value: Word) {
-        let queue = &mut self.queues[from * self.n + to];
+        let queue = self.channel_mut(from, to);
         queue.push_back(value);
         if queue.len() == 1 {
             self.non_empty += 1;
@@ -282,7 +295,9 @@ impl Mailboxes {
 
     /// Is at least one message queued on the `from -> to` channel?
     pub fn has_pending(&self, to: usize, from: usize) -> bool {
-        !self.queues[from * self.n + to].is_empty()
+        self.queues
+            .get(from * self.n + to)
+            .is_some_and(|q| !q.is_empty())
     }
 
     /// Are any messages still in flight?  O(1): the non-empty-channel
@@ -431,6 +446,24 @@ mod tests {
         assert!(!mb.any_pending());
         assert_eq!(mb.recv(1, 2).unwrap(), None);
         assert!(!mb.any_pending());
+    }
+
+    #[test]
+    fn the_channel_table_is_built_by_the_first_message() {
+        let mut mb = Mailboxes::new(4, FabricTopology::Crossbar);
+        assert_eq!(mb.recv(1, 0).unwrap(), None);
+        assert!(!mb.has_pending(1, 0) && !mb.any_pending());
+        let child = mb.split_inbound(0..2, None);
+        assert!(!child.any_pending());
+        mb.absorb(child);
+        assert!(!mb.any_pending());
+        mb.deposit(0, 1, 5);
+        let child = mb.split_inbound(0..2, None);
+        assert!(child.has_pending(1, 0) && !mb.has_pending(1, 0));
+        let mut fresh = Mailboxes::new(4, FabricTopology::Crossbar);
+        fresh.absorb(child);
+        assert_eq!(fresh.recv(1, 0).unwrap(), Some(5));
+        assert!(!fresh.any_pending());
     }
 
     #[test]

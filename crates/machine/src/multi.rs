@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use skilltax_model::{ArchSpec, Count, Link, Relation};
 
 use crate::cancel::{flag_trip, CancelToken, RunBudget};
-use crate::dp::{DataProcessor, LocalOutcome};
+use crate::dp::{BurstEnd, DataProcessor, LocalOutcome, QUANTUM};
 use crate::error::MachineError;
 use crate::exec::Stats;
 use crate::fault::{FaultPlan, RetryState, RunOutcome, DEFAULT_MAX_RETRIES};
@@ -179,9 +179,10 @@ impl MultiMachine {
     /// Install a cancellation token for subsequent runs.  A deadline
     /// stops the run after exactly that many simulated cycles, with
     /// partial [`Stats`] bit-identical across the dense, event and
-    /// sharded schedulers; the asynchronous flag stops promptly (dense
-    /// and event loops poll it per cycle, the shard coordinator once per
-    /// slice).
+    /// sharded schedulers; the asynchronous flag stops promptly but at no
+    /// promised cycle (polled per cycle by the dense and event loops,
+    /// once per quantum by the decoupled path, once per slice by the
+    /// shard coordinator).
     pub fn with_cancel(mut self, cancel: CancelToken) -> MultiMachine {
         self.cancel = cancel;
         self
@@ -383,7 +384,9 @@ impl MultiMachine {
     /// reference loop was requested or the plan rolls the PRNG on every
     /// cycle (which skipping cycles would desynchronise).  When
     /// [`MultiMachine::with_shards`] asked for parallelism and the run is
-    /// shardable, the shard-parallel runner takes over instead.
+    /// shardable, the shard-parallel runner takes over instead.  The event
+    /// scheduler itself hands untraced interaction-free runs to the
+    /// temporally decoupled path.
     fn execute_with<T: Tracer>(
         &mut self,
         library: &[&Program],
@@ -659,17 +662,7 @@ impl MultiMachine {
         }
         tracer.span_exit(stats.cycles);
         tracer.span_exit(stats.cycles);
-        for (i, core) in self.cores.iter().enumerate() {
-            let (alu, mr, mw) = core.dp.counters();
-            let (b_alu, b_mr, b_mw) = base[i];
-            stats.alu_ops += alu - b_alu;
-            stats.mem_reads += mr - b_mr;
-            stats.mem_writes += mw - b_mw;
-            if tracer.enabled() {
-                tracer.sample("dp.alu_ops", alu - b_alu);
-                tracer.sample("dp.mem_ops", (mr - b_mr) + (mw - b_mw));
-            }
-        }
+        self.add_dp_counters(&base, &mut stats, tracer);
         let faults_injected =
             faults.as_ref().map_or(0, FaultPlan::injected) + self.mailboxes.faults_injected();
         Ok(RunOutcome {
@@ -724,8 +717,15 @@ impl MultiMachine {
         let base: Vec<(u64, u64, u64)> = self.cores.iter().map(|c| c.dp.counters()).collect();
         let budget = RunBudget::resolve(self.cycle_limit, &self.cancel);
         let limit = budget.limit();
+        let decoupled = !tracer.enabled() && self.interaction_free(library, assignment);
 
-        let mut active: Vec<usize> = (0..n).collect();
+        // A decoupled run returns with every core halted, so the loop
+        // below starts with all three pools empty and ends at once.
+        let mut active: Vec<usize> = if decoupled {
+            Vec::new()
+        } else {
+            (0..n).collect()
+        };
         let mut sleeping: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
         let mut blocked: Vec<(usize, u64)> = Vec::new();
 
@@ -733,6 +733,9 @@ impl MultiMachine {
         tracer.span_enter(0, Phase::Decode);
         tracer.span_exit(0);
         tracer.span_enter(0, Phase::Slice);
+        if decoupled {
+            self.execute_decoupled(library, faults.as_mut(), budget, &mut stats, tracer)?;
+        }
         loop {
             if active.is_empty() && sleeping.is_empty() && blocked.is_empty() {
                 break; // every core halted
@@ -1028,17 +1031,7 @@ impl MultiMachine {
         }
         tracer.span_exit(stats.cycles);
         tracer.span_exit(stats.cycles);
-        for (i, core) in self.cores.iter().enumerate() {
-            let (alu, mr, mw) = core.dp.counters();
-            let (b_alu, b_mr, b_mw) = base[i];
-            stats.alu_ops += alu - b_alu;
-            stats.mem_reads += mr - b_mr;
-            stats.mem_writes += mw - b_mw;
-            if tracer.enabled() {
-                tracer.sample("dp.alu_ops", alu - b_alu);
-                tracer.sample("dp.mem_ops", (mr - b_mr) + (mw - b_mw));
-            }
-        }
+        self.add_dp_counters(&base, &mut stats, tracer);
         let faults_injected =
             faults.as_ref().map_or(0, FaultPlan::injected) + self.mailboxes.faults_injected();
         Ok(RunOutcome {
@@ -1047,6 +1040,135 @@ impl MultiMachine {
             retries,
             degraded: false,
         })
+    }
+
+    /// Can no core observe another during this run?  Then the cores may
+    /// run one after another instead of interleaved cycle by cycle
+    /// ([`MultiMachine::execute_decoupled`]).  That needs private banks,
+    /// no `send`/`recv`/`getlane` in any assigned program (they are the
+    /// only DP–DP interactions, and the only instructions that can stall
+    /// on another core), and no lane driven by two cores that both touch
+    /// memory (a rebound IP shares its lane's bank with the lane's own
+    /// IP).  Per-cycle fault rolls are excluded before the event
+    /// scheduler is reached; hashed stalls are order-independent.
+    fn interaction_free(&self, library: &[&Program], assignment: &[usize]) -> bool {
+        if self.mem.topology() != DataTopology::PrivateBanks {
+            return false;
+        }
+        let mut lane_used = vec![false; self.cores.len()];
+        for (&prog, &lane) in assignment.iter().zip(&self.binding) {
+            let instrs = library[prog].instrs();
+            if instrs.iter().any(Instr::uses_dp_dp) {
+                return false;
+            }
+            if instrs.iter().any(Instr::touches_memory)
+                && std::mem::replace(&mut lane_used[lane], true)
+            {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Temporal decoupling (DESIGN.md §9): advance the cores core by core
+    /// through one quantum of cycles at a time, each with the tight
+    /// [`DataProcessor::run_burst`] kernel, instead of visiting every
+    /// core on every cycle.  Only called on interaction-free runs, where
+    /// the result equals the dense loop: the same `Stats`, the same
+    /// watchdog and deadline partial stats (every core stands at the
+    /// quantum boundary when they are taken), the same fault counts, and
+    /// the same error — the earliest `(cycle, core)`, because once a core
+    /// fails at cycle `e` later cores only run through `e - 1`.  The
+    /// cancellation flag is polled once per quantum.  Architectural state
+    /// after an error is unspecified: cores before the failing one may
+    /// have run past its cycle.
+    fn execute_decoupled<T: Tracer>(
+        &mut self,
+        library: &[&Program],
+        mut faults: Option<&mut FaultPlan>,
+        budget: RunBudget,
+        stats: &mut Stats,
+        tracer: &mut T,
+    ) -> Result<(), MachineError> {
+        let limit = budget.limit();
+        let mut running = self.cores.len();
+        // The latest cycle on which a core halted or ran off its program.
+        let mut last = 0u64;
+        loop {
+            if running == 0 {
+                stats.cycles = last;
+                return Ok(());
+            }
+            if self.cancel.flag_raised() {
+                return Err(flag_trip(stats.cycles, *stats, tracer));
+            }
+            if stats.cycles >= limit {
+                return Err(budget.trip(stats.cycles, *stats, tracer));
+            }
+            let start = stats.cycles;
+            let bound = limit.min(start.saturating_add(QUANTUM));
+            let mut horizon = bound;
+            let mut error = None;
+            for core in self.cores.iter_mut().filter(|c| !c.halted) {
+                let mut clock = Stats {
+                    cycles: start,
+                    ..Stats::default()
+                };
+                let end = core.dp.run_burst(
+                    library[core.program],
+                    &mut core.pc,
+                    &mut self.mem,
+                    &mut clock,
+                    horizon,
+                    faults.as_deref_mut(),
+                    tracer,
+                );
+                stats.instructions += clock.instructions;
+                stats.stalls += clock.stalls;
+                match end {
+                    Ok(BurstEnd::Bound) => continue,
+                    Ok(BurstEnd::Halt) => last = last.max(clock.cycles),
+                    // The dense loop spends a cycle finding the end.
+                    Ok(BurstEnd::OffEnd) => last = last.max(clock.cycles + 1),
+                    Ok(BurstEnd::Fabric) => {
+                        unreachable!("interaction-free programs never reach the fabric")
+                    }
+                    Err(e) => {
+                        // Later cores lose ties on this cycle: an earlier
+                        // failure is the only one that can still win.
+                        horizon = clock.cycles - 1;
+                        error = Some(e);
+                        continue;
+                    }
+                }
+                core.halted = true;
+                running -= 1;
+            }
+            if let Some(e) = error {
+                return Err(e);
+            }
+            stats.cycles = bound;
+        }
+    }
+
+    /// Fold every core's ALU and memory counters since `base` into
+    /// `stats` (sampling them per DP when the tracer records).
+    fn add_dp_counters<T: Tracer>(
+        &self,
+        base: &[(u64, u64, u64)],
+        stats: &mut Stats,
+        tracer: &mut T,
+    ) {
+        for (core, &(b_alu, b_mr, b_mw)) in self.cores.iter().zip(base) {
+            let (alu, mr, mw) = core.dp.counters();
+            stats.alu_ops += alu - b_alu;
+            stats.mem_reads += mr - b_mr;
+            stats.mem_writes += mw - b_mw;
+            if tracer.enabled() {
+                tracer.sample("dp.alu_ops", alu - b_alu);
+                tracer.sample("dp.mem_ops", (mr - b_mr) + (mw - b_mw));
+            }
+        }
     }
 
     /// The shard-parallel runner: a bulk-synchronous mirror of
@@ -1563,17 +1685,7 @@ impl MultiMachine {
             }
         }
         run_result?;
-        for (i, core) in self.cores.iter().enumerate() {
-            let (alu, mr, mw) = core.dp.counters();
-            let (b_alu, b_mr, b_mw) = base_counters[i];
-            stats.alu_ops += alu - b_alu;
-            stats.mem_reads += mr - b_mr;
-            stats.mem_writes += mw - b_mw;
-            if tracer.enabled() {
-                tracer.sample("dp.alu_ops", alu - b_alu);
-                tracer.sample("dp.mem_ops", (mr - b_mr) + (mw - b_mw));
-            }
-        }
+        self.add_dp_counters(&base_counters, &mut stats, tracer);
         let faults_injected = faults.as_ref().map_or(0, FaultPlan::injected) + mailbox_faults;
         Ok(RunOutcome {
             stats,

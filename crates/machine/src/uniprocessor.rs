@@ -2,14 +2,14 @@
 //! the Von Neumann baseline every other machine is compared against.
 
 use crate::cancel::{flag_trip, CancelToken, RunBudget};
-use crate::dp::{DataProcessor, LocalOutcome};
+use crate::dp::{BurstEnd, DataProcessor, QUANTUM};
 use crate::error::MachineError;
 use crate::exec::Stats;
 use crate::isa::Word;
 use crate::mem::{BankedMemory, DataTopology};
 use crate::profile::Phase;
 use crate::program::Program;
-use crate::telemetry::{EventKind, NullTracer, Tracer};
+use crate::telemetry::{NullTracer, Tracer};
 
 /// Default cycle budget before a run is declared livelocked.
 pub const DEFAULT_CYCLE_LIMIT: u64 = 10_000_000;
@@ -40,8 +40,10 @@ impl UniProcessor {
         self
     }
 
-    /// Install a cancellation token for subsequent runs (deadline cycles
-    /// stop deterministically; the flag stops promptly).
+    /// Install a cancellation token for subsequent runs.  A deadline
+    /// stops the run after exactly that many cycles; the flag is polled
+    /// once per quantum of cycles, so it stops the run promptly but at
+    /// no promised cycle.
     pub fn with_cancel(mut self, cancel: CancelToken) -> UniProcessor {
         self.cancel = cancel;
         self
@@ -112,27 +114,26 @@ impl UniProcessor {
             if stats.cycles >= budget.limit() {
                 return Err(budget.trip(stats.cycles, stats, tracer));
             }
-            let Some(instr) = program.fetch(pc) else {
+            let bound = budget.limit().min(stats.cycles.saturating_add(QUANTUM));
+            match self.dp.run_burst(
+                program,
+                &mut pc,
+                &mut self.mem,
+                &mut stats,
+                bound,
+                None,
+                tracer,
+            )? {
+                BurstEnd::Bound => {}
                 // Running off the end is a clean stop.
-                break;
-            };
-            stats.cycles += 1;
-            if instr.uses_dp_dp() {
-                return Err(MachineError::RouteDenied {
-                    from: 0,
-                    to: 0,
-                    reason: "a uni-processor has no DP-DP fabric".to_owned(),
-                });
-            }
-            stats.instructions += 1;
-            tracer.record(stats.cycles, EventKind::Issue);
-            match self
-                .dp
-                .execute_traced(instr, &mut self.mem, stats.cycles, tracer)?
-            {
-                LocalOutcome::Next => pc += 1,
-                LocalOutcome::Branch(t) => pc = t,
-                LocalOutcome::Halt => break,
+                BurstEnd::Halt | BurstEnd::OffEnd => break,
+                BurstEnd::Fabric => {
+                    return Err(MachineError::RouteDenied {
+                        from: 0,
+                        to: 0,
+                        reason: "a uni-processor has no DP-DP fabric".to_owned(),
+                    })
+                }
             }
         }
         tracer.span_exit(stats.cycles);

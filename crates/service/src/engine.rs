@@ -15,7 +15,11 @@
 //!
 //! Single-core simulations run on pooled machines (zero steady-state
 //! allocations — see [`UniPool`]); multi-core machines are built per
-//! request, the documented cold tier.
+//! request, the documented cold tier.  Sweeps run their points one
+//! after another on the same paths.  Stepping single-core points in
+//! lockstep as one `UniFleet` is slower than the pooled uni-processor's
+//! burst kernel: 9.8 against 3.9 ns per instruction on the service
+//! benchmark's 32–256-point sweeps (2-core host; DESIGN.md §14).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -23,9 +27,7 @@ use std::sync::{Arc, Mutex};
 use skilltax_estimate::{estimate_area, estimate_config_bits, CostParams};
 use skilltax_machine::array::ArraySubtype;
 use skilltax_machine::fault::{FaultPlan, LinkOutage, RetryState};
-use skilltax_machine::fleet::{
-    array_chunked_outcomes, run_array_fleet_chunked, LaneKernels, UniFleet,
-};
+use skilltax_machine::fleet::{array_chunked_outcomes, run_array_fleet_chunked, LaneKernels};
 use skilltax_machine::multi::{MultiMachine, MultiSubtype};
 use skilltax_machine::{
     Assembler, CancelToken, Instr, MachineError, NullTracer, Phase, Profiled, Program, SpanProfile,
@@ -353,8 +355,7 @@ impl Engine {
         let mut m = self
             .build_multi(cores, 1, scheduler)
             .with_cancel(token.clone());
-        let programs = vec![(*program).clone(); cores];
-        match m.run_traced(&programs, tracer) {
+        match m.run_simd_traced(&program, tracer) {
             Ok(stats) => JobOutcome::Completed {
                 summary: String::new(),
                 stats: Some(stats),
@@ -480,16 +481,6 @@ impl Engine {
         token: &CancelToken,
         tracer: &mut T,
     ) -> JobOutcome {
-        // Fleet fast path (DESIGN.md §14): when every point is a
-        // single-core run, the sweep is N instances of the same uni
-        // architecture — exactly the structure-of-arrays shape, so one
-        // decode drives all points and per-point stats stay bit-identical
-        // to the pooled sequential runs.  Profiled sweeps keep the
-        // sequential path so the span timeline still shows one root span
-        // per point.
-        if cores.len() >= 2 && cores.iter().all(|&c| c <= 1) && !tracer.enabled() {
-            return self.sweep_fleet(cores, iters, token);
-        }
         let mut total = Stats::default();
         let mut points = String::new();
         for &c in cores {
@@ -507,35 +498,6 @@ impl Engine {
                 // The first point that does not complete ends the sweep
                 // with that point's typed outcome.
                 other => return other,
-            }
-        }
-        JobOutcome::Completed {
-            summary: points,
-            stats: Some(total),
-        }
-    }
-
-    /// All-single-core sweeps as one [`UniFleet`] run: same watchdog
-    /// budget, cancellation token and per-point outcome semantics as the
-    /// sequential loop (the first point that does not complete ends the
-    /// sweep with that point's typed outcome).
-    fn sweep_fleet(&self, cores: &[usize], iters: i64, token: &CancelToken) -> JobOutcome {
-        let program = self.spin(iters);
-        let mut fleet = UniFleet::new(cores.len(), self.config.mem_words)
-            .with_cycle_limit(self.config.limits.max_cycles)
-            .with_cancel(token.clone());
-        let mut total = Stats::default();
-        let mut points = String::new();
-        for (&c, result) in cores.iter().zip(fleet.run(&program)) {
-            match result {
-                Ok(stats) => {
-                    if !points.is_empty() {
-                        points.push(' ');
-                    }
-                    points.push_str(&format!("{c}:{}", stats.cycles));
-                    add_stats(&mut total, &stats);
-                }
-                Err(e) => return JobOutcome::from_error(e, 0),
             }
         }
         JobOutcome::Completed {
@@ -791,39 +753,52 @@ mod tests {
     }
 
     #[test]
-    fn fleet_sweep_matches_sequential_sweep() {
-        // All-single-core sweeps route through the fleet executor only
-        // when the tracer is disabled; an enabled tracer keeps the
-        // sequential per-point path.  Both must produce the same summary
-        // and totals — the service-level face of the §14 identity
-        // contract.
+    fn sweep_summary_and_totals_equal_the_per_point_simulates() {
         let e = engine();
         let token = CancelToken::new();
-        let cores = vec![1usize; 96];
-        let fleet = e.sweep_traced(&cores, 75, &token, &mut NullTracer);
-        let mut telemetry = Telemetry::new();
-        let sequential = e.sweep_traced(&cores, 75, &token, &mut telemetry);
-        match (fleet, sequential) {
-            (
-                JobOutcome::Completed {
-                    summary: fs,
-                    stats: Some(fstats),
+        let sweep = e.execute(
+            &request(
+                JobKind::Sweep {
+                    cores: vec![1; 96],
+                    iters: 75,
                 },
-                JobOutcome::Completed {
-                    summary: ss,
-                    stats: Some(sstats),
+                None,
+            ),
+            &token,
+        );
+        let point = match e.execute(
+            &request(
+                JobKind::Simulate {
+                    cores: 1,
+                    iters: 75,
+                    scheduler: Scheduler::Event,
+                    fault_seed: None,
                 },
-            ) => {
-                assert_eq!(fs, ss);
-                assert_eq!(fstats, sstats);
-                assert_eq!(fs.split(' ').count(), 96);
-            }
+                None,
+            ),
+            &token,
+        ) {
+            JobOutcome::Completed {
+                stats: Some(stats), ..
+            } => stats,
             other => panic!("{other:?}"),
+        };
+        let mut total = Stats::default();
+        for _ in 0..96 {
+            add_stats(&mut total, &point);
         }
+        let summary = vec![format!("1:{}", point.cycles); 96].join(" ");
+        assert_eq!(
+            sweep,
+            JobOutcome::Completed {
+                summary,
+                stats: Some(total),
+            }
+        );
     }
 
     #[test]
-    fn fleet_sweep_honours_deadline_cancellation() {
+    fn sweep_honours_deadline_cancellation() {
         let e = engine();
         let out = e.execute(
             &request(
@@ -836,7 +811,7 @@ mod tests {
             &CancelToken::new(),
         );
         assert!(
-            matches!(out, JobOutcome::Cancelled { .. }),
+            matches!(out, JobOutcome::Cancelled { at_cycle: 50, .. }),
             "expected cancellation, got {out:?}"
         );
     }

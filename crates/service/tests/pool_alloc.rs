@@ -11,6 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use skilltax_machine::CancelToken;
 use skilltax_service::{Engine, EngineConfig, JobKind, JobOutcome, JobRequest, Scheduler};
@@ -41,6 +42,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide and the test harness runs tests on
+/// parallel threads, so each test holds this lock while it counts; a
+/// neighbour's allocations would otherwise land in its window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn counting_alone() -> MutexGuard<'static, ()> {
+    // The guarded value is `()`, so a panic in another test leaves
+    // nothing inconsistent behind.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn simulate(iters: i64) -> JobRequest {
     JobRequest {
         tenant: "alloc".into(),
@@ -70,6 +84,7 @@ fn allocs_for(engine: &Engine, request: &JobRequest, cancel: &CancelToken) -> u6
 
 #[test]
 fn warm_pooled_requests_allocate_nothing() {
+    let _alone = counting_alone();
     let engine = Engine::new(EngineConfig::default());
     engine.pool().prewarm(1);
     let cancel = CancelToken::new();
@@ -101,6 +116,7 @@ fn warm_pooled_requests_allocate_nothing() {
 fn deadline_requests_cost_constant_allocations() {
     // A per-request deadline needs a fresh token per request (one Arc),
     // but the cost must not scale with the work the request does.
+    let _alone = counting_alone();
     let engine = Engine::new(EngineConfig::default());
     engine.pool().prewarm(1);
     let with_deadline = |iters: i64| JobRequest {

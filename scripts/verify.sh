@@ -31,6 +31,13 @@ done
 echo "==> cargo test --release --offline -p skilltax-machine --test scheduler_identity"
 cargo test --release --offline -p skilltax-machine --test scheduler_identity -q
 
+# Decoupled identity: untraced interaction-free MIMD runs advance core by
+# core, one quantum at a time, and must stay counter- and error-exact
+# twins of the dense loop (DESIGN.md §9); the uni-processor's burst
+# kernel keeps its old outcomes.
+echo "==> cargo test --release --offline -p skilltax-machine --test decoupled_identity"
+cargo test --release --offline -p skilltax-machine --test decoupled_identity -q
+
 # Shard + fleet identity: the shard-parallel runners must stay
 # counter-exact twins of the single-threaded schedulers (DESIGN.md §10),
 # and the structure-of-arrays fleet executor must stay bit-identical to
@@ -73,6 +80,13 @@ echo "==> bench collector smoke (quick mode + regression gate)"
 SKILLTAX_BENCH_BATCHES=3 SKILLTAX_BENCH_BATCH_MS=2 \
     cargo run --release --offline -p skilltax-bench --bin bench_compare -- \
     --baseline artifacts/BENCH_baseline.json
+
+# Service benchmark smoke: every workload, untraced and traced, with 1 s
+# windows and the output check on.  The benchmark is its own Cargo
+# package linking the service API, so drift in that API fails here.
+echo "==> cargo test --release --offline --manifest-path benchmark/Cargo.toml"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir "${CARGO_TARGET_DIR:-target/benchmark}" -q
 
 # Perf-history smoke: record two commits into a throwaway store, then
 # answer a trajectory query and a triaged comparison through the
