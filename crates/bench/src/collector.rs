@@ -27,19 +27,20 @@ use skilltax_machine::array::ArraySubtype;
 use skilltax_machine::dataflow::DataflowSubtype;
 use skilltax_machine::fleet::{FleetExec, LaneKernels};
 use skilltax_machine::interconnect::FabricTopology;
-use skilltax_machine::multi::MultiSubtype;
+use skilltax_machine::multi::{MultiMachine, MultiSubtype};
 use skilltax_machine::profile::{NullProfiler, Phase, SpanProfile};
 use skilltax_machine::spatial::SpatialMachine;
 use skilltax_machine::telemetry::{EventKind, Telemetry, Tracer};
 use skilltax_machine::universal::{program_counter, LutFabric};
 use skilltax_machine::workload::{
-    run_backoff_storm_multi_traced, run_fabric_counters_traced, run_mimd_mix_multi_traced,
-    run_mimd_stagger_multi_sharded, run_mimd_stagger_multi_traced, run_reduce_dataflow_traced,
-    run_reduce_dataflow_with, run_ring_shift_multi_traced, run_spin_swarm_uni_traced,
-    run_stagger_spatial_sharded, run_stagger_spatial_traced, run_vector_add_array_traced,
-    run_vector_add_multi_traced, run_vector_add_swarm_array_traced, run_vector_add_uni_traced,
+    run_backoff_storm_multi_traced, run_fabric_counters_traced, run_fault_monte_carlo_array,
+    run_mimd_mix_multi_traced, run_mimd_stagger_multi_sharded, run_mimd_stagger_multi_traced,
+    run_reduce_dataflow_traced, run_reduce_dataflow_with, run_ring_shift_multi_traced,
+    run_spin_swarm_uni_traced, run_stagger_spatial_sharded, run_stagger_spatial_traced,
+    run_vector_add_array_traced, run_vector_add_multi_traced, run_vector_add_swarm_array_traced,
+    run_vector_add_uni_traced,
 };
-use skilltax_machine::{Assembler, CancelToken, Instr, Program, Stats, Word};
+use skilltax_machine::{Assembler, CancelToken, FaultPlan, Instr, Program, Stats, Word};
 use skilltax_service::admission::{DrrQueue, QueuedJob};
 use skilltax_service::{
     run_chaos, ChaosConfig, Engine, EngineConfig, JobKind, JobOutcome, JobRequest,
@@ -204,6 +205,15 @@ fn stats_counters(stats: &Stats) -> BTreeMap<String, u64> {
     let mut m = BTreeMap::new();
     m.insert("cycles".to_owned(), stats.cycles);
     m.insert("instructions".to_owned(), stats.instructions);
+    m
+}
+
+/// [`stats_counters`] plus the stall cycles and injected faults of a
+/// fault-injected run.
+fn fault_counters(stats: &Stats, faults_injected: u64) -> BTreeMap<String, u64> {
+    let mut m = stats_counters(stats);
+    m.insert("work.stalls".to_owned(), stats.stalls);
+    m.insert("work.faults_injected".to_owned(), faults_injected);
     m
 }
 
@@ -497,6 +507,52 @@ pub fn suite() -> Vec<SuiteBench> {
             let run = run_backoff_storm_multi_traced(60_000, 80, true, tracer)
                 .expect("the storm delivers");
             stats_counters(&run.stats)
+        },
+    ));
+
+    // --- seeded fault rolls ------------------------------------------
+    //
+    // Per-cycle stall and bit-flip rolls, the two the link-outage storm
+    // above never draws.  Their counters pin the roll semantics: a
+    // changed threshold or draw order moves the stall and fault counts.
+    benches.push(SuiteBench::new(
+        "machine/stall_storm/multi/32",
+        "machine.multi",
+        |tracer| {
+            let mut asm = Assembler::new();
+            asm.movi(0, 0).movi(1, 200);
+            asm.label("loop").expect("fresh label");
+            asm.emit(Instr::AddI(0, 0, 1));
+            asm.blt(0, 1, "loop");
+            asm.emit(Instr::Halt);
+            let spin = asm.assemble().expect("spin program is well formed");
+            let mut machine =
+                MultiMachine::new(MultiSubtype::from_index(1).expect("IMP-I"), 32, 16);
+            let run = machine
+                .run_resilient_traced(&vec![spin; 32], FaultPlan::seeded(1).stall_dps(0.3), tracer)
+                .expect("a stall storm completes");
+            fault_counters(&run.stats, run.faults_injected)
+        },
+    ));
+    benches.push(SuiteBench::new(
+        "machine/fault_sweep/array-III/16x64",
+        "machine.array",
+        |_| {
+            let seeds: Vec<u64> = (1..=64).collect();
+            let (mut total, mut faults) = (Stats::default(), 0);
+            for run in run_fault_monte_carlo_array(
+                ArraySubtype::III,
+                16,
+                &seeds,
+                0.2,
+                0.05,
+                FleetExec::Sequential,
+            ) {
+                let run = run.expect("every seed completes");
+                total = total.accumulate_sequential(run.stats);
+                faults += run.faults_injected;
+            }
+            fault_counters(&total, faults)
         },
     ));
 

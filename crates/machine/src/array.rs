@@ -125,6 +125,15 @@ impl ArrayMachine {
         self
     }
 
+    /// Scrub architectural state — every lane's registers and counters,
+    /// every memory word — without an allocation, so one machine can run
+    /// a study's seeds back to back as if each had a fresh machine.  The
+    /// cycle limit, cancellation token and scheduler choice stay.
+    pub fn reset(&mut self) {
+        self.lanes.iter_mut().for_each(DataProcessor::reset);
+        self.mem.clear();
+    }
+
     /// The sub-type.
     pub fn subtype(&self) -> ArraySubtype {
         self.subtype
@@ -628,6 +637,50 @@ mod tests {
             }
             other => panic!("expected WatchdogTimeout, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn reset_machine_replays_like_a_fresh_one() {
+        use crate::fault::FaultPlan;
+        // Each lane accumulates into its own word, so registers and
+        // memory left by one run (bit-flips included) feed the next.
+        let mut asm = Assembler::new();
+        asm.emit(Instr::LaneId(0)).movi(3, 6);
+        asm.label("loop").unwrap();
+        asm.emit(Instr::Load(1, 0))
+            .emit(Instr::Add(1, 1, 0))
+            .emit(Instr::AddI(1, 1, 1))
+            .emit(Instr::Store(0, 1))
+            .emit(Instr::AddI(2, 2, 1));
+        asm.blt(2, 3, "loop");
+        asm.emit(Instr::Halt);
+        let prog = asm.assemble().unwrap();
+        let plan = |seed| FaultPlan::seeded(seed).stall_dps(0.1).flip_memory_bits(0.4);
+        let snapshot = |m: &ArrayMachine| {
+            let regs: Vec<Word> = (0..4)
+                .flat_map(|l| (0..4).map(move |r| (l, r)))
+                .map(|(l, r)| m.lane_reg(l, r))
+                .collect();
+            let mem: Vec<Word> = (0..4)
+                .flat_map(|b| m.memory().bank(b).contents().to_vec())
+                .collect();
+            (regs, mem, m.memory().traffic())
+        };
+        let mut reused = ArrayMachine::new(ArraySubtype::III, 4, 8);
+        reused.run_resilient(&prog, plan(1)).unwrap();
+        let mut leaky = ArrayMachine::new(ArraySubtype::III, 4, 8);
+        leaky.run_resilient(&prog, plan(1)).unwrap();
+        let leaked = leaky.run_resilient(&prog, plan(2)).unwrap();
+        reused.reset();
+        let second = reused.run_resilient(&prog, plan(2)).unwrap();
+        let mut fresh = ArrayMachine::new(ArraySubtype::III, 4, 8);
+        let expected = fresh.run_resilient(&prog, plan(2)).unwrap();
+        assert_eq!(second, expected);
+        assert_eq!(snapshot(&reused), snapshot(&fresh));
+        assert!(
+            snapshot(&leaky) != snapshot(&fresh) || leaked != expected,
+            "the kernel must observe state left by an earlier run"
+        );
     }
 
     #[test]

@@ -58,10 +58,12 @@ pub struct FaultPlan {
     stall_seed: u64,
     failed_dps: BTreeSet<usize>,
     outages: Vec<LinkOutage>,
-    drop_rate: f64,
-    corrupt_rate: f64,
-    stall_rate: f64,
-    bit_flip_rate: f64,
+    /// Each probability is stored once, as its `threshold`: a roll
+    /// fires when its 53-bit draw is below it (DESIGN.md §7).
+    drop_threshold: u64,
+    corrupt_threshold: u64,
+    stall_threshold: u64,
+    flip_threshold: u64,
     max_retries: u32,
     injected: u64,
 }
@@ -74,10 +76,10 @@ impl FaultPlan {
             stall_seed: seed,
             failed_dps: BTreeSet::new(),
             outages: Vec::new(),
-            drop_rate: 0.0,
-            corrupt_rate: 0.0,
-            stall_rate: 0.0,
-            bit_flip_rate: 0.0,
+            drop_threshold: 0,
+            corrupt_threshold: 0,
+            stall_threshold: 0,
+            flip_threshold: 0,
             max_retries: DEFAULT_MAX_RETRIES,
             injected: 0,
         }
@@ -97,25 +99,25 @@ impl FaultPlan {
 
     /// Drop each in-flight message with probability `rate`.
     pub fn drop_messages(mut self, rate: f64) -> FaultPlan {
-        self.drop_rate = rate.clamp(0.0, 1.0);
+        self.drop_threshold = threshold(rate);
         self
     }
 
     /// Corrupt each delivered message payload with probability `rate`.
     pub fn corrupt_messages(mut self, rate: f64) -> FaultPlan {
-        self.corrupt_rate = rate.clamp(0.0, 1.0);
+        self.corrupt_threshold = threshold(rate);
         self
     }
 
     /// Stall each DP on each cycle with probability `rate`.
     pub fn stall_dps(mut self, rate: f64) -> FaultPlan {
-        self.stall_rate = rate.clamp(0.0, 1.0);
+        self.stall_threshold = threshold(rate);
         self
     }
 
     /// Flip one memory bit per cycle with probability `rate`.
     pub fn flip_memory_bits(mut self, rate: f64) -> FaultPlan {
-        self.bit_flip_rate = rate.clamp(0.0, 1.0);
+        self.flip_threshold = threshold(rate);
         self
     }
 
@@ -157,7 +159,7 @@ impl FaultPlan {
     /// which the event path replays at identical cycles in identical
     /// order.
     pub fn has_per_cycle_rolls(&self) -> bool {
-        self.bit_flip_rate > 0.0
+        self.flip_threshold > 0
     }
 
     /// Does this plan roll the PRNG on message sends?
@@ -168,7 +170,7 @@ impl FaultPlan {
     /// roll no randomness, so they shard fine.  Engines use this to fall
     /// back to the single-threaded scheduler.
     pub fn has_message_rolls(&self) -> bool {
-        self.drop_rate > 0.0 || self.corrupt_rate > 0.0
+        self.drop_threshold > 0 || self.corrupt_threshold > 0
     }
 
     /// Is the `from -> to` link down at `cycle`?
@@ -183,8 +185,9 @@ impl FaultPlan {
     }
 
     /// Should the message in flight right now be dropped?
+    #[inline]
     pub fn should_drop(&mut self) -> bool {
-        if self.drop_rate > 0.0 && self.rng.chance(self.drop_rate) {
+        if self.drop_threshold > 0 && draw(&mut self.rng) < self.drop_threshold {
             self.injected += 1;
             true
         } else {
@@ -193,8 +196,9 @@ impl FaultPlan {
     }
 
     /// Maybe corrupt a payload (single random bit-flip).
+    #[inline]
     pub fn corrupt(&mut self, value: Word) -> Word {
-        if self.corrupt_rate > 0.0 && self.rng.chance(self.corrupt_rate) {
+        if self.corrupt_threshold > 0 && draw(&mut self.rng) < self.corrupt_threshold {
             self.injected += 1;
             value ^ (1 << self.rng.below(63))
         } else {
@@ -212,8 +216,10 @@ impl FaultPlan {
     /// totals agree too as long as every scheduler queries the same
     /// `(cycle, dp)` set (the run loops query exactly the processors
     /// that would otherwise act this cycle).
+    #[inline]
     pub fn dp_stalled(&mut self, cycle: u64, dp: usize) -> bool {
-        if self.stall_rate > 0.0 && stall_hash(self.stall_seed, cycle, dp) < self.stall_rate {
+        if self.stall_threshold > 0 && stall_hash(self.stall_seed, cycle, dp) < self.stall_threshold
+        {
             self.injected += 1;
             true
         } else {
@@ -224,8 +230,9 @@ impl FaultPlan {
     /// Roll for a transient memory bit-flip this cycle: `(bank_choice,
     /// addr_choice, bit)` as raw draws for the caller to reduce modulo its
     /// own geometry.
+    #[inline]
     pub fn memory_bit_flip(&mut self) -> Option<(u64, u64, u32)> {
-        if self.bit_flip_rate > 0.0 && self.rng.chance(self.bit_flip_rate) {
+        if self.flip_threshold > 0 && draw(&mut self.rng) < self.flip_threshold {
             self.injected += 1;
             Some((
                 self.rng.next_u64(),
@@ -250,6 +257,7 @@ impl FaultPlan {
     /// Apply a pending transient bit-flip (if any) to `mem`, reducing the
     /// raw draws modulo the memory's geometry.  Returns `true` when a bit
     /// was actually flipped (so callers can trace the injection).
+    #[inline]
     pub fn maybe_flip_memory(&mut self, mem: &mut crate::mem::BankedMemory) -> bool {
         if let Some((bank_raw, addr_raw, bit)) = self.memory_bit_flip() {
             let banks = mem.bank_count();
@@ -267,10 +275,32 @@ impl FaultPlan {
     }
 }
 
+/// `2^53`: every roll draws a uniform 53-bit integer `m`, the mantissa
+/// of the unit float `m / 2^53` that [`XorShift64::unit_f64`] returns.
+const UNIT: u64 = 1 << 53;
+
+/// The integer form of probability `rate`: `ceil(rate * 2^53)`, with
+/// `rate` clamped to `[0, 1]` and NaN mapped to 0 (never fires).  For
+/// any 53-bit `m`, `m / 2^53 < rate` holds exactly when `m < threshold`:
+/// scaling by a power of two is exact, and an integer is below a real
+/// exactly when it is below that real's ceiling.
+fn threshold(rate: f64) -> u64 {
+    // `as` saturates and maps NaN to 0.
+    (rate.clamp(0.0, 1.0) * UNIT as f64).ceil() as u64
+}
+
+/// One 53-bit draw from the plan's stream: the mantissa that
+/// [`XorShift64::chance`] compares, taken from one `next_u64`.
+#[inline]
+fn draw(rng: &mut XorShift64) -> u64 {
+    rng.next_u64() >> 11
+}
+
 /// The order-independent stall draw: a splitmix64-style finalizer over
-/// `(seed, cycle, dp)` reduced to `[0, 1)`.  Pure, so every scheduler
+/// `(seed, cycle, dp)` reduced to 53 bits.  Pure, so every scheduler
 /// and every fork of a plan computes the same answer.
-fn stall_hash(seed: u64, cycle: u64, dp: usize) -> f64 {
+#[inline]
+fn stall_hash(seed: u64, cycle: u64, dp: usize) -> u64 {
     let mut x = seed
         ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (dp as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
@@ -279,7 +309,7 @@ fn stall_hash(seed: u64, cycle: u64, dp: usize) -> f64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
+    x >> 11
 }
 
 /// Per-core retry state for bounded exponential backoff on denied routes.
@@ -492,6 +522,70 @@ mod tests {
             "a 30% rate fires somewhere in 128 draws"
         );
         assert!(!a.iter().all(|&s| s));
+    }
+
+    /// The float roll the integer thresholds replace: the top 53 bits of
+    /// a draw as a unit float, compared with the rate.
+    fn float_roll(x: u64, rate: f64) -> bool {
+        (x >> 11) as f64 / ((1u64 << 53) as f64) < rate
+    }
+
+    #[test]
+    fn integer_rolls_equal_the_float_formula() {
+        let half = 0.5f64;
+        let rates = [
+            0.0,
+            1.0 / (1u64 << 53) as f64,
+            1e-6,
+            0.1,
+            f64::from_bits(half.to_bits() - 1),
+            half,
+            f64::from_bits(half.to_bits() + 1),
+            1.0 - 1.0 / (1u64 << 53) as f64,
+            1.0,
+            f64::NAN,
+        ];
+        for rate in rates {
+            let t = threshold(rate);
+            // Exhaustive at the decision boundary: the 53-bit draws just
+            // below, at and above the threshold, and both ends.
+            let edges = [0, 1, t.saturating_sub(1), t, t + 1, UNIT - 1];
+            for m in edges.into_iter().filter(|&m| m < UNIT) {
+                assert_eq!(m < t, float_roll(m << 11, rate), "rate {rate:e}, m {m}");
+            }
+            // Hashed stall rolls over random (seed, cycle, dp) triples.
+            let mut rng = XorShift64::new(rate.to_bits());
+            for _ in 0..100_000 {
+                let (seed, cycle) = (rng.next_u64(), rng.next_u64());
+                let dp = rng.below(1 << 16) as usize;
+                let mut plan = FaultPlan::seeded(seed).stall_dps(rate);
+                let fired = plan.dp_stalled(cycle, dp);
+                assert_eq!(
+                    fired,
+                    float_roll(stall_hash(seed, cycle, dp) << 11, rate),
+                    "rate {rate:e}, triple ({seed}, {cycle}, {dp})"
+                );
+                assert_eq!(plan.injected(), u64::from(fired));
+            }
+            // Stream rolls consume the same draws as the float roll did.
+            let mut plan = FaultPlan::seeded(9)
+                .drop_messages(rate)
+                .flip_memory_bits(rate);
+            let mut stream = XorShift64::new(9);
+            for _ in 0..1_000 {
+                let expect = rate > 0.0 && float_roll(stream.next_u64(), rate);
+                assert_eq!(plan.should_drop(), expect, "rate {rate:e}");
+                let flip = rate > 0.0 && float_roll(stream.next_u64(), rate);
+                let drawn = flip.then(|| {
+                    let (bank, addr) = (stream.next_u64(), stream.next_u64());
+                    (bank, addr, stream.below(63) as u32)
+                });
+                assert_eq!(plan.memory_bit_flip(), drawn, "rate {rate:e}");
+            }
+        }
+        assert_eq!(threshold(f64::NAN), 0);
+        assert_eq!(threshold(1.0), UNIT);
+        assert_eq!(threshold(-3.0), 0);
     }
 
     #[test]

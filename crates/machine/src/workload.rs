@@ -1184,8 +1184,9 @@ pub fn run_vector_add_swarm_array_traced<T: Tracer>(
 /// outcomes in seed order; `FleetExec::Fleet` routes the population
 /// through [`crate::fleet::run_array_fleet_chunked`] (sub-fleet chunks
 /// across the `SKILLTAX_FLEET_THREADS` worker resolution),
-/// `Sequential` runs [`ArrayMachine::run_resilient`] per seed —
-/// bit-identical results either way.
+/// `Sequential` runs [`ArrayMachine::run_resilient`] per seed on one
+/// machine, [`ArrayMachine::reset`] between seeds — bit-identical
+/// results either way.
 pub fn run_fault_monte_carlo_array(
     subtype: ArraySubtype,
     lanes: usize,
@@ -1227,14 +1228,17 @@ pub fn run_fault_monte_carlo_array(
             );
             crate::fleet::array_chunked_outcomes(chunks)
         }
-        FleetExec::Sequential => seeds
-            .iter()
-            .map(|&s| {
-                let mut machine =
-                    ArrayMachine::new(subtype, lanes, bank_words).with_cycle_limit(100_000);
-                machine.run_resilient(&program, plan_for(s))
-            })
-            .collect(),
+        FleetExec::Sequential => {
+            let mut machine =
+                ArrayMachine::new(subtype, lanes, bank_words).with_cycle_limit(100_000);
+            seeds
+                .iter()
+                .map(|&s| {
+                    machine.reset();
+                    machine.run_resilient(&program, plan_for(s))
+                })
+                .collect()
+        }
     }
 }
 

@@ -1,0 +1,142 @@
+//! Golden fault-roll values: the stall schedule, flip draws and
+//! resilient-run outcomes of fixed seeded plans, pinned so any change to
+//! the roll semantics (thresholds, draw order, hashing) fails here.
+//! The values were recorded before the rolls moved from `f64`
+//! comparisons to integer thresholds (DESIGN.md §7), which must keep
+//! every decision bit-identical.
+
+use skilltax_machine::array::{ArrayMachine, ArraySubtype};
+use skilltax_machine::multi::{MultiMachine, MultiSubtype};
+use skilltax_machine::{Assembler, FaultPlan, Instr, Program, RunOutcome, Stats};
+
+/// One FNV-1a step, folding a draw into a checksum.
+fn fnv(acc: u64, x: u64) -> u64 {
+    (acc ^ x).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// The first 256 stall decisions (a bitmask over `(cycle, dp)` in
+/// cycle-major order), then 256 flip rolls: how many fired, a checksum
+/// of their draws, and the plan's injection count.
+fn rolls(plan: &mut FaultPlan) -> ([u64; 4], u64, u64, u64) {
+    let mut stalls = [0u64; 4];
+    for k in 0..256u64 {
+        if plan.dp_stalled(k / 4 + 1, (k % 4) as usize) {
+            stalls[(k / 64) as usize] |= 1 << (k % 64);
+        }
+    }
+    let (mut fired, mut fold) = (0u64, 0xCBF2_9CE4_8422_2325u64);
+    for _ in 0..256 {
+        if let Some((bank, addr, bit)) = plan.memory_bit_flip() {
+            fired += 1;
+            fold = fnv(fnv(fnv(fold, bank), addr), u64::from(bit));
+        }
+    }
+    (stalls, fired, fold, plan.injected())
+}
+
+fn spin(iters: i64) -> Program {
+    let mut asm = Assembler::new();
+    asm.movi(0, 0).movi(1, iters);
+    asm.label("loop").unwrap();
+    asm.emit(Instr::AddI(0, 0, 1));
+    asm.blt(0, 1, "loop");
+    asm.emit(Instr::Halt);
+    asm.assemble().unwrap()
+}
+
+/// Each lane loads, bumps and stores its own word six times, so
+/// bit-flips reach the loaded values.
+fn array_kernel() -> Program {
+    let mut asm = Assembler::new();
+    asm.emit(Instr::LaneId(0)).movi(2, 0).movi(3, 6);
+    asm.label("loop").unwrap();
+    asm.emit(Instr::Load(1, 0))
+        .emit(Instr::Add(1, 1, 0))
+        .emit(Instr::Store(0, 1))
+        .emit(Instr::AddI(2, 2, 1));
+    asm.blt(2, 3, "loop");
+    asm.emit(Instr::Halt);
+    asm.assemble().unwrap()
+}
+
+#[test]
+fn stall_and_flip_rolls_are_pinned() {
+    let mut a = FaultPlan::seeded(0x5EED)
+        .stall_dps(0.3)
+        .flip_memory_bits(0.05);
+    assert_eq!(
+        rolls(&mut a),
+        (
+            [
+                5_863_862_903_796_170_884,
+                11_542_735_190_874_276_424,
+                4_939_331_757_751_364_692,
+                1_230_688_467_402_904_294
+            ],
+            14,
+            15_728_055_395_215_860_976,
+            92
+        )
+    );
+    let mut b = FaultPlan::seeded(7).stall_dps(0.01).flip_memory_bits(0.7);
+    assert_eq!(
+        rolls(&mut b),
+        ([0, 0, 128, 0], 171, 12_627_879_380_873_763_142, 172)
+    );
+}
+
+#[test]
+fn multi_stall_storm_outcome_is_pinned() {
+    let mut m = MultiMachine::new(MultiSubtype::from_index(1).unwrap(), 8, 16);
+    let out = m
+        .run_resilient(&vec![spin(40); 8], FaultPlan::seeded(3).stall_dps(0.3))
+        .unwrap();
+    assert_eq!(
+        out,
+        RunOutcome {
+            stats: Stats {
+                cycles: 135,
+                instructions: 664,
+                alu_ops: 320,
+                mem_reads: 0,
+                mem_writes: 0,
+                messages: 0,
+                stalls: 300,
+            },
+            faults_injected: 300,
+            retries: 0,
+            degraded: false,
+        }
+    );
+}
+
+#[test]
+fn array_flip_storm_outcome_is_pinned() {
+    let mut m = ArrayMachine::new(ArraySubtype::III, 8, 8);
+    let plan = FaultPlan::seeded(11).stall_dps(0.2).flip_memory_bits(0.3);
+    let out = m.run_resilient(&array_kernel(), plan).unwrap();
+    assert_eq!(
+        out,
+        RunOutcome {
+            stats: Stats {
+                cycles: 167,
+                instructions: 223,
+                alu_ops: 96,
+                mem_reads: 48,
+                mem_writes: 48,
+                messages: 0,
+                stalls: 133,
+            },
+            faults_injected: 181,
+            retries: 0,
+            degraded: false,
+        }
+    );
+    let mut memory = 0xCBF2_9CE4_8422_2325u64;
+    for bank in 0..8 {
+        for &w in m.memory().bank(bank).contents() {
+            memory = fnv(memory, w as u64);
+        }
+    }
+    assert_eq!(memory, 0xb4d6_cb72_fba0_5f2e);
+}

@@ -16,18 +16,20 @@
 //! Single-core simulations run on pooled machines (zero steady-state
 //! allocations — see [`UniPool`]); multi-core machines are built per
 //! request, the documented cold tier.  Sweeps run their points one
-//! after another on the same paths.  Stepping single-core points in
-//! lockstep as one `UniFleet` is slower than the pooled uni-processor's
-//! burst kernel: 9.8 against 3.9 ns per instruction on the service
-//! benchmark's 32–256-point sweeps (2-core host; DESIGN.md §14).
+//! after another on the same paths, and fault sweeps run their seeds one
+//! after another on one reset array machine.  Neither batches its
+//! instances as a lockstep fleet: a `UniFleet` took 9.8 against 3.9 ns
+//! per instruction for the pooled uni-processor on the service
+//! benchmark's 32–256-point sweeps, and an `ArrayFleet` lost to the
+//! reset machine once stalls made its seeds diverge (2-core host;
+//! DESIGN.md §14).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use skilltax_estimate::{estimate_area, estimate_config_bits, CostParams};
-use skilltax_machine::array::ArraySubtype;
+use skilltax_machine::array::{ArrayMachine, ArraySubtype};
 use skilltax_machine::fault::{FaultPlan, LinkOutage, RetryState};
-use skilltax_machine::fleet::{array_chunked_outcomes, run_array_fleet_chunked, LaneKernels};
 use skilltax_machine::multi::{MultiMachine, MultiSubtype};
 use skilltax_machine::{
     Assembler, CancelToken, Instr, MachineError, NullTracer, Phase, Profiled, Program, SpanProfile,
@@ -73,6 +75,8 @@ pub struct Engine {
     /// Spin programs keyed by iteration count: the steady state hands
     /// out `Arc` clones, so repeat requests assemble nothing.
     programs: Mutex<HashMap<i64, Arc<Program>>>,
+    /// Ring-shift programs keyed by core count, cached the same way.
+    rings: Mutex<HashMap<usize, Arc<Vec<Program>>>>,
 }
 
 /// Count to `iters` and halt — the service's canonical spin workload.
@@ -105,6 +109,39 @@ fn ring_programs(cores: usize) -> Vec<Program> {
             asm.assemble().expect("ring program assembles")
         })
         .collect()
+}
+
+/// The fault plan of one whole-job attempt at a seeded trial.
+/// Reseeding by attempt models a transient environment; the in-run
+/// retry budget grows with the attempt so tier 2 genuinely escalates.
+fn fault_plan(seed: u64, cores: usize, attempt: u32) -> FaultPlan {
+    let attempt_seed = seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    match seed % 3 {
+        // A stall storm on a plain shared-nothing multi.
+        0 => {
+            let rate = 0.1 + 0.2 * ((seed / 3) % 4) as f64;
+            FaultPlan::seeded(attempt_seed).stall_dps(rate)
+        }
+        // A dead DP on an IP–DP-crossbar machine: degradation remaps
+        // the work and the job completes `Degraded`.
+        1 => FaultPlan::seeded(attempt_seed)
+            .stall_dps(0.1)
+            .fail_dp((seed / 3) as usize % cores),
+        // A link outage under ring traffic on a DP–DP machine: the
+        // in-run backoff must outlast the outage, so early attempts
+        // can exhaust (`RetryExhausted`) and later ones clear.
+        _ => {
+            let outage_until = 4 + seed % 32;
+            FaultPlan::seeded(attempt_seed)
+                .fail_link(LinkOutage {
+                    from: 1,
+                    to: 0,
+                    from_cycle: 0,
+                    until_cycle: outage_until,
+                })
+                .with_max_retries(1 + 2 * attempt)
+        }
+    }
 }
 
 fn add_stats(acc: &mut Stats, s: &Stats) {
@@ -145,6 +182,7 @@ impl Engine {
             pool: UniPool::new(config.pool_capacity, config.mem_words),
             config,
             programs: Mutex::new(HashMap::new()),
+            rings: Mutex::new(HashMap::new()),
         }
     }
 
@@ -234,10 +272,9 @@ impl Engine {
                 _ => self.plain_simulate_traced(*cores, *iters, *scheduler, &token, &mut t),
             },
             JobKind::Sweep { cores, iters } => self.sweep_traced(cores, *iters, &token, &mut t),
-            // Fault sweeps always run fleet-batched; the lockstep cohort
-            // loop has no per-instance tracer hooks, so a profiled fault
-            // sweep reports the same typed outcome with an empty machine
-            // span tree.
+            // `ArrayMachine::run_resilient` takes no tracer, so a profiled
+            // fault sweep reports the same typed outcome with an empty
+            // machine span tree.
             JobKind::FaultSweep {
                 subtype,
                 lanes,
@@ -364,48 +401,27 @@ impl Engine {
         }
     }
 
-    /// One fault trial: the workload, plan, and machine sub-type for a
-    /// given seed and whole-job attempt number.  Reseeding by attempt
-    /// models a transient environment; the in-run retry budget grows
-    /// with the attempt so tier 2 genuinely escalates.
-    fn fault_trial(
-        &self,
-        seed: u64,
-        cores: usize,
-        iters: i64,
-        attempt: u32,
-    ) -> (Vec<Program>, FaultPlan, u8) {
-        let attempt_seed = seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    /// Ring programs for `cores`, cached like [`Engine::spin`] so repeat
+    /// requests assemble nothing.
+    fn ring(&self, cores: usize) -> Arc<Vec<Program>> {
+        let mut cache = self.rings.lock().expect("ring cache poisoned");
+        cache
+            .entry(cores)
+            .or_insert_with(|| Arc::new(ring_programs(cores)))
+            .clone()
+    }
+
+    /// The fault trial a seed selects: the per-core programs and the
+    /// machine sub-type.  Both are fixed for the request; only the plan
+    /// ([`fault_plan`]) changes between whole-job attempts.
+    fn fault_trial(&self, seed: u64, cores: usize, iters: i64) -> (Arc<Vec<Program>>, u8) {
+        let spin = || Arc::new(vec![(*self.spin(iters)).clone(); cores]);
         match seed % 3 {
-            // A stall storm on a plain shared-nothing multi.
-            0 => {
-                let rate = 0.1 + 0.2 * ((seed / 3) % 4) as f64;
-                let plan = FaultPlan::seeded(attempt_seed).stall_dps(rate);
-                (vec![(*self.spin(iters)).clone(); cores], plan, 1)
-            }
-            // A dead DP on an IP–DP-crossbar machine: degradation remaps
-            // the work and the job completes `Degraded`.
-            1 => {
-                let plan = FaultPlan::seeded(attempt_seed)
-                    .stall_dps(0.1)
-                    .fail_dp((seed / 3) as usize % cores);
-                (vec![(*self.spin(iters)).clone(); cores], plan, 10)
-            }
-            // A link outage under ring traffic on a DP–DP machine: the
-            // in-run backoff must outlast the outage, so early attempts
-            // can exhaust (`RetryExhausted`) and later ones clear.
-            _ => {
-                let outage_until = 4 + seed % 32;
-                let plan = FaultPlan::seeded(attempt_seed)
-                    .fail_link(LinkOutage {
-                        from: 1,
-                        to: 0,
-                        from_cycle: 0,
-                        until_cycle: outage_until,
-                    })
-                    .with_max_retries(1 + 2 * attempt);
-                (ring_programs(cores), plan, 2)
-            }
+            // Stall storms run on IMP-I, dead DPs on an IP–DP crossbar,
+            // link outages under ring traffic on a DP–DP crossbar.
+            0 => (spin(), 1),
+            1 => (spin(), 10),
+            _ => (self.ring(cores), 2),
         }
     }
 
@@ -429,9 +445,10 @@ impl Engine {
         token: &CancelToken,
         tracer: &mut T,
     ) -> JobOutcome {
+        let (programs, subtype) = self.fault_trial(seed, cores, iters);
         let mut retry = RetryState::default();
         loop {
-            let (programs, plan, subtype) = self.fault_trial(seed, cores, iters, retry.attempts);
+            let plan = fault_plan(seed, cores, retry.attempts);
             let mut m = self
                 .build_multi(cores, subtype, scheduler)
                 .with_cancel(token.clone());
@@ -506,15 +523,13 @@ impl Engine {
         }
     }
 
-    /// Seeded Monte-Carlo fault study, executed as one chunked
-    /// [`ArrayFleet`](skilltax_machine::fleet::ArrayFleet) batch
-    /// (DESIGN.md §14): seed `k` is fleet instance `k` running fault
-    /// plan `seed0 + k`, and per-seed stats/faults are bit-identical to
-    /// per-seed `run_resilient` loops.  The request token — deadline
-    /// folded in — threads through to every worker chunk, so client
-    /// disconnects and deadlines stop the whole fleet promptly.  The
-    /// first seed (in seed order) that does not complete ends the job
-    /// with that seed's typed outcome, matching sweep semantics.
+    /// Seeded Monte-Carlo fault study: seed `k` runs fault plan
+    /// `seed0 + k` under `run_resilient` on one array machine, scrubbed
+    /// with [`ArrayMachine::reset`] between seeds, so each seed sees a
+    /// fresh machine.  The request token — deadline folded in — bounds
+    /// every seed's run.  Seeds run in seed order and the first one that
+    /// does not complete ends the job with its typed outcome, matching
+    /// sweep semantics.
     #[allow(clippy::too_many_arguments)]
     fn fault_sweep(
         &self,
@@ -533,27 +548,18 @@ impl Engine {
             .emit(Instr::Store(0, 1))
             .emit(Instr::Halt);
         let program = asm.assemble().expect("fault-sweep kernel is well formed");
-        let chunks = run_array_fleet_chunked(
-            subtype,
-            lanes,
-            lanes.max(4),
-            seeds,
-            self.config.limits.max_cycles,
-            token,
-            &program,
-            LaneKernels::default(),
-            |_, _, _| {},
-            |g| {
-                FaultPlan::seeded(seed0.wrapping_add(g as u64))
-                    .stall_dps(f64::from(stall_ppm) / 1e6)
-                    .flip_memory_bits(f64::from(flip_ppm) / 1e6)
-            },
-            0,
-        );
+        let (stall_rate, flip_rate) = (f64::from(stall_ppm) / 1e6, f64::from(flip_ppm) / 1e6);
+        let mut machine = ArrayMachine::new(subtype, lanes, lanes.max(4))
+            .with_cycle_limit(self.config.limits.max_cycles)
+            .with_cancel(token.clone());
         let mut total = Stats::default();
         let (mut faults, mut retries, mut degraded) = (0u64, 0u64, 0usize);
-        for outcome in array_chunked_outcomes(chunks) {
-            match outcome {
+        for k in 0..seeds as u64 {
+            machine.reset();
+            let plan = FaultPlan::seeded(seed0.wrapping_add(k))
+                .stall_dps(stall_rate)
+                .flip_memory_bits(flip_rate);
+            match machine.run_resilient(&program, plan) {
                 Ok(run) => {
                     add_stats(&mut total, &run.stats);
                     faults += run.faults_injected;
@@ -818,24 +824,7 @@ mod tests {
 
     #[test]
     fn fault_sweep_matches_sequential_resilient_runs() {
-        use skilltax_machine::array::ArrayMachine;
         let e = engine();
-        let out = e.execute(
-            &request(
-                JobKind::FaultSweep {
-                    subtype: ArraySubtype::III,
-                    lanes: 4,
-                    seeds: 12,
-                    seed0: 7,
-                    stall_ppm: 250_000,
-                    flip_ppm: 100_000,
-                },
-                None,
-            ),
-            &CancelToken::new(),
-        );
-        // Rebuild the identical study as twelve sequential resilient
-        // runs — the fleet path must aggregate bit-identical stats.
         let mut asm = Assembler::new();
         asm.emit(Instr::LaneId(0))
             .movi(1, 100)
@@ -843,31 +832,50 @@ mod tests {
             .emit(Instr::Store(0, 1))
             .emit(Instr::Halt);
         let program = asm.assemble().unwrap();
-        let mut total = Stats::default();
-        let mut faults = 0;
-        for k in 0..12u64 {
-            let mut m = ArrayMachine::new(ArraySubtype::III, 4, 4)
-                .with_cycle_limit(RequestLimits::default().max_cycles);
-            let run = m
-                .run_resilient(
-                    &program,
-                    FaultPlan::seeded(7 + k)
-                        .stall_dps(0.25)
-                        .flip_memory_bits(0.1),
-                )
-                .unwrap();
-            add_stats(&mut total, &run.stats);
-            faults += run.faults_injected;
-        }
-        match out {
-            JobOutcome::Completed { summary, stats } => {
-                assert_eq!(stats, Some(total));
-                assert!(
-                    summary.contains(&format!("{faults} faults injected")),
-                    "{summary}"
-                );
+        // A faulted study and a fault-free one: each must aggregate the
+        // stats of twelve resilient runs on fresh machines.
+        for (stall_ppm, flip_ppm) in [(250_000, 100_000), (0, 0)] {
+            let out = e.execute(
+                &request(
+                    JobKind::FaultSweep {
+                        subtype: ArraySubtype::III,
+                        lanes: 4,
+                        seeds: 12,
+                        seed0: 7,
+                        stall_ppm,
+                        flip_ppm,
+                    },
+                    None,
+                ),
+                &CancelToken::new(),
+            );
+            let mut total = Stats::default();
+            let mut faults = 0;
+            for k in 0..12u64 {
+                let mut m = ArrayMachine::new(ArraySubtype::III, 4, 4)
+                    .with_cycle_limit(RequestLimits::default().max_cycles);
+                let run = m
+                    .run_resilient(
+                        &program,
+                        FaultPlan::seeded(7 + k)
+                            .stall_dps(f64::from(stall_ppm) / 1e6)
+                            .flip_memory_bits(f64::from(flip_ppm) / 1e6),
+                    )
+                    .unwrap();
+                add_stats(&mut total, &run.stats);
+                faults += run.faults_injected;
             }
-            other => panic!("fault sweep should complete: {other:?}"),
+            assert_eq!(faults == 0, stall_ppm == 0, "{stall_ppm} ppm stalls");
+            match out {
+                JobOutcome::Completed { summary, stats } => {
+                    assert_eq!(stats, Some(total));
+                    assert!(
+                        summary.contains(&format!("12 seeds, {faults} faults injected")),
+                        "{summary}"
+                    );
+                }
+                other => panic!("fault sweep should complete: {other:?}"),
+            }
         }
     }
 
@@ -890,7 +898,40 @@ mod tests {
         );
         assert!(
             matches!(out, JobOutcome::Cancelled { .. }),
-            "deadline must cancel the fleet: {out:?}"
+            "deadline must cancel the sweep: {out:?}"
+        );
+    }
+
+    #[test]
+    fn fault_sweep_deadline_cancels_mid_sweep_at_the_first_late_seed() {
+        // Seed 4 finishes in 26 cycles and seed 5 needs 31, so a 28-cycle
+        // deadline passes the first seed and cancels the second.  The
+        // outcome is pinned to what the lockstep fleet route returned.
+        let out = engine().execute(
+            &request(
+                JobKind::FaultSweep {
+                    subtype: ArraySubtype::III,
+                    lanes: 4,
+                    seeds: 4,
+                    seed0: 4,
+                    stall_ppm: 400_000,
+                    flip_ppm: 50_000,
+                },
+                Some(28),
+            ),
+            &CancelToken::new(),
+        );
+        assert_eq!(
+            out,
+            JobOutcome::Cancelled {
+                at_cycle: 28,
+                partial: Stats {
+                    cycles: 28,
+                    instructions: 12,
+                    stalls: 25,
+                    ..Stats::default()
+                },
+            }
         );
     }
 

@@ -85,9 +85,9 @@ pub enum JobKind {
     },
     /// Seeded Monte-Carlo fault study on a SIMD array machine: every
     /// seed runs the same lane kernel under an independent deterministic
-    /// fault plan.  The engine executes all seeds as one
-    /// structure-of-arrays [`ArrayFleet`](skilltax_machine::fleet::ArrayFleet)
-    /// batch (DESIGN.md §14), bit-identical to per-seed `run_resilient`.
+    /// fault plan.  The engine runs the seeds one after another with
+    /// `run_resilient` on one array machine, reset between seeds
+    /// (DESIGN.md §14).
     FaultSweep {
         /// Array sub-type (IAP-I..IV) under study.
         subtype: ArraySubtype,

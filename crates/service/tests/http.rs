@@ -80,9 +80,9 @@ fn classify_and_metrics_and_health_respond() {
     assert!(metrics.contains("\"submitted\":"), "{metrics}");
 }
 
-/// The fleet-backed Monte-Carlo fault study end to end: the job routes
-/// through the structure-of-arrays `ArrayFleet` batch executor, and the
-/// same request is deterministic — two runs return byte-identical
+/// The Monte-Carlo fault study end to end: the job runs its seeds on
+/// one reset array machine, and the same request is deterministic —
+/// two runs return byte-identical
 /// bodies (seeded fault plans, no wall-clock in the outcome).
 #[test]
 fn faultsweep_round_trips_deterministically() {
