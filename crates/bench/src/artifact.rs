@@ -14,8 +14,12 @@
 //! stays hermetic, and `write → read` round-trips every field.
 
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::fmt;
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use skilltax_report::Json;
 
@@ -305,9 +309,15 @@ impl Artifact {
     /// interpolated into `BENCH_<label>.json`-style paths by every
     /// caller, so a `/` or `..` smuggled in by a service request must be
     /// a typed error here, not a file outside the artifacts directory.
+    ///
+    /// The write is atomic: the text goes to a sibling temporary file,
+    /// which is synced to disk and renamed over `path`, and then the
+    /// directory is synced.  A crash leaves either the previous file or
+    /// the complete new one, never a torn history entry.  On failure the
+    /// temporary file is removed.
     pub fn write_file(&self, path: &Path) -> Result<(), ArtifactError> {
         validate_label(&self.label)?;
-        std::fs::write(path, self.emit()).map_err(|e| ArtifactError::Io {
+        write_atomically(path, self.emit().as_bytes()).map_err(|e| ArtifactError::Io {
             path: path.display().to_string(),
             message: e.to_string(),
         })
@@ -469,6 +479,42 @@ fn get_i64(obj: &[(String, Json)], field: &str) -> Result<i64, ArtifactError> {
         Json::Num(n) if n.fract() == 0.0 => Ok(*n as i64),
         _ => Err(malformed(field, "expected an integer")),
     }
+}
+
+/// Write `bytes` to `path` through a synced sibling temporary file, a
+/// rename and a sync of the directory (see [`Artifact::write_file`]).
+fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let Some(name) = path.file_name() else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "artifact path names no file",
+        ));
+    };
+    let mut tmp_name = OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return written;
+    }
+    // The rename itself is durable only once the directory is synced.
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]

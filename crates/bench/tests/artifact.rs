@@ -4,7 +4,7 @@
 //! regression while naming the offending benchmark.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use skilltax_bench::artifact::{
@@ -61,6 +61,68 @@ fn write_read_round_trip_preserves_every_field() {
     assert_eq!(bench.counters["cycles"], 1000);
     assert_eq!(bench.wall_ns, original.benchmarks[0].wall_ns);
     assert_eq!(reread.env, original.env);
+}
+
+/// An empty directory of its own for one test.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = temp_path(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("test dir creates");
+    dir
+}
+
+/// The names of the entries in `dir`, sorted.
+fn entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn atomic_write_round_trips_and_leaves_only_the_artifact() {
+    let dir = fresh_dir("atomic_round_trip");
+    let path = dir.join("BENCH_atomic.json");
+    let original = fixture("atomic", 1000);
+    original.write_file(&path).unwrap();
+    assert_eq!(Artifact::read_file(&path).unwrap(), original);
+    assert_eq!(entries(&dir), ["BENCH_atomic.json"]);
+}
+
+#[test]
+fn atomic_write_replaces_an_existing_artifact() {
+    let dir = fresh_dir("atomic_overwrite");
+    let path = dir.join("BENCH_over.json");
+    let older = fixture("over", 1000);
+    older.write_file(&path).unwrap();
+    // A second name for the old file: a write in place would change what
+    // it reads, a replacing rename leaves it alone.
+    let old_link = dir.join("old_link.json");
+    std::fs::hard_link(&path, &old_link).unwrap();
+    let newer = fixture("over", 2000);
+    newer.write_file(&path).unwrap();
+    assert_eq!(Artifact::read_file(&path).unwrap(), newer);
+    assert_eq!(Artifact::read_file(&old_link).unwrap(), older);
+    assert_eq!(entries(&dir), ["BENCH_over.json", "old_link.json"]);
+}
+
+#[test]
+fn failed_atomic_write_is_a_typed_io_error_and_leaves_no_temp_file() {
+    // The target is a non-empty directory, so the final rename fails
+    // after the temporary file was written and synced.
+    let dir = fresh_dir("atomic_failure");
+    let path = dir.join("BENCH_blocked.json");
+    std::fs::create_dir_all(path.join("occupied")).unwrap();
+    match fixture("blocked", 1000).write_file(&path) {
+        Err(ArtifactError::Io { path: reported, .. }) => {
+            assert_eq!(reported, path.display().to_string())
+        }
+        other => panic!("expected ArtifactError::Io, got {other:?}"),
+    }
+    assert_eq!(entries(&dir), ["BENCH_blocked.json"]);
+    assert!(path.is_dir());
 }
 
 #[test]

@@ -1,10 +1,20 @@
 //! The data processor: a register file plus an ALU that executes the
 //! non-fabric instructions against a banked memory.
 //!
-//! [`DataProcessor::run_burst`] is the one tight interpreter loop over
-//! those instructions: the uni-processor runs on it alone, and the MIMD
-//! machine runs every core on it when the cores cannot observe each
-//! other (DESIGN.md §9, temporal decoupling).
+//! The local ISA's semantics are written once, in one `#[inline(always)]`
+//! step that decodes and executes an instruction in a single `match`.
+//! Two callers share it:
+//!
+//! * [`DataProcessor::run_burst`], the one interpreter loop over local
+//!   instructions: the uni-processor runs on it alone, and the MIMD
+//!   machine runs every core on it when the cores cannot observe each
+//!   other (DESIGN.md §9, temporal decoupling);
+//! * [`DataProcessor::execute_local`] / [`DataProcessor::execute_traced`],
+//!   one instruction at a time, for the lockstep, dense, event, spatial,
+//!   VLIW and replay loops that interleave processors cycle by cycle.
+//!
+//! Tracer events come from the step's arms, so traced and untraced runs
+//! execute the same code and [`NullTracer`] compiles the events away.
 
 use crate::error::MachineError;
 use crate::exec::Stats;
@@ -12,7 +22,7 @@ use crate::fault::FaultPlan;
 use crate::isa::{Instr, Reg, Word, NUM_REGS};
 use crate::mem::BankedMemory;
 use crate::program::Program;
-use crate::telemetry::{EventKind, FaultKind, Tracer};
+use crate::telemetry::{EventKind, FaultKind, NullTracer, Tracer};
 
 /// Cycles a run loop hands [`DataProcessor::run_burst`] at a time.  The
 /// cancellation flag is polled once per quantum, so it bounds how long a
@@ -44,14 +54,187 @@ pub enum LocalOutcome {
     Halt,
 }
 
+/// Where control goes after one [`step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    Next,
+    Jump(usize),
+    Halt,
+    /// A fabric instruction: nothing executed, nothing charged.
+    Fabric,
+}
+
+/// The operation counter an executed instruction bumps (each bump also
+/// records the matching event on an enabled tracer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    None,
+    Alu,
+    Read,
+    Write,
+}
+
+/// A processor's (ALU, memory read, memory write) operation counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counters {
+    alu: u64,
+    reads: u64,
+    writes: u64,
+}
+
+/// Execute one local instruction: the only definition of the local ISA.
+///
+/// With `FETCHED` the instruction came from a validated [`Program`]
+/// through the burst kernel: register indices are known to be in range
+/// (they are masked rather than bounds-checked) and the step records the
+/// instruction's `Issue` event itself, before its `AluOp` / `MemRead` /
+/// `MemWrite`.  Without it, indexing is checked (an out-of-range register
+/// panics) and the caller records `Issue`.  The operation events are
+/// recorded only when the tracer is enabled.  A fabric instruction
+/// executes nothing and returns [`Flow::Fabric`]; an instruction whose
+/// memory access fails changes nothing and bumps no counter.
+#[inline(always)]
+fn step<T: Tracer, const FETCHED: bool>(
+    regs: &mut [Word; NUM_REGS],
+    ops: &mut Counters,
+    lane: usize,
+    instr: Instr,
+    mem: &mut BankedMemory,
+    cycle: u64,
+    tracer: &mut T,
+) -> Result<Flow, MachineError> {
+    let ix = |r: Reg| {
+        if FETCHED {
+            usize::from(r) & (NUM_REGS - 1)
+        } else {
+            usize::from(r)
+        }
+    };
+    let error = 'exec: {
+        let (flow, op) = match instr {
+            Instr::Send(..) | Instr::Recv(..) | Instr::GetLane(..) => return Ok(Flow::Fabric),
+            Instr::Nop => (Flow::Next, Op::None),
+            Instr::Halt => (Flow::Halt, Op::None),
+            Instr::MovI(rd, imm) => {
+                regs[ix(rd)] = imm;
+                (Flow::Next, Op::None)
+            }
+            Instr::Mov(rd, rs) => {
+                regs[ix(rd)] = regs[ix(rs)];
+                (Flow::Next, Op::None)
+            }
+            Instr::Add(rd, a, b) => {
+                regs[ix(rd)] = regs[ix(a)].wrapping_add(regs[ix(b)]);
+                (Flow::Next, Op::Alu)
+            }
+            Instr::Sub(rd, a, b) => {
+                regs[ix(rd)] = regs[ix(a)].wrapping_sub(regs[ix(b)]);
+                (Flow::Next, Op::Alu)
+            }
+            Instr::Mul(rd, a, b) => {
+                regs[ix(rd)] = regs[ix(a)].wrapping_mul(regs[ix(b)]);
+                (Flow::Next, Op::Alu)
+            }
+            Instr::Min(rd, a, b) => {
+                regs[ix(rd)] = regs[ix(a)].min(regs[ix(b)]);
+                (Flow::Next, Op::Alu)
+            }
+            Instr::Max(rd, a, b) => {
+                regs[ix(rd)] = regs[ix(a)].max(regs[ix(b)]);
+                (Flow::Next, Op::Alu)
+            }
+            Instr::AddI(rd, rs, imm) => {
+                regs[ix(rd)] = regs[ix(rs)].wrapping_add(imm);
+                (Flow::Next, Op::Alu)
+            }
+            Instr::Load(rd, rs) => match mem.read(lane, regs[ix(rs)]) {
+                Ok(value) => {
+                    regs[ix(rd)] = value;
+                    (Flow::Next, Op::Read)
+                }
+                Err(e) => break 'exec e,
+            },
+            Instr::Store(ra, rs) => match mem.write(lane, regs[ix(ra)], regs[ix(rs)]) {
+                Ok(()) => (Flow::Next, Op::Write),
+                Err(e) => break 'exec e,
+            },
+            Instr::LaneId(rd) => {
+                regs[ix(rd)] = lane as Word;
+                (Flow::Next, Op::None)
+            }
+            Instr::Beq(a, b, t) => (branch(regs[ix(a)] == regs[ix(b)], t), Op::None),
+            Instr::Bne(a, b, t) => (branch(regs[ix(a)] != regs[ix(b)], t), Op::None),
+            Instr::Blt(a, b, t) => (branch(regs[ix(a)] < regs[ix(b)], t), Op::None),
+            Instr::Jmp(t) => (Flow::Jump(t), Op::None),
+        };
+        if FETCHED {
+            tracer.record(cycle, EventKind::Issue);
+        }
+        let kind = match op {
+            Op::None => return Ok(flow),
+            Op::Alu => {
+                ops.alu += 1;
+                EventKind::AluOp
+            }
+            Op::Read => {
+                ops.reads += 1;
+                EventKind::MemRead
+            }
+            Op::Write => {
+                ops.writes += 1;
+                EventKind::MemWrite
+            }
+        };
+        if tracer.enabled() {
+            tracer.record(cycle, kind);
+        }
+        return Ok(flow);
+    };
+    // The failing instruction still issued.
+    if FETCHED {
+        tracer.record(cycle, EventKind::Issue);
+    }
+    Err(error)
+}
+
+#[inline(always)]
+fn branch(taken: bool, target: usize) -> Flow {
+    if taken {
+        Flow::Jump(target)
+    } else {
+        Flow::Next
+    }
+}
+
+/// The per-cycle stall roll a burst is instantiated with, chosen once
+/// per burst so the fault-free kernel carries no roll at all.
+trait StallRoll {
+    fn stalled(&mut self, cycle: u64, lane: usize) -> bool;
+}
+
+impl StallRoll for FaultPlan {
+    #[inline(always)]
+    fn stalled(&mut self, cycle: u64, lane: usize) -> bool {
+        self.dp_stalled(cycle, lane)
+    }
+}
+
+/// No fault plan: nothing ever stalls.
+struct NoStalls;
+
+impl StallRoll for NoStalls {
+    #[inline(always)]
+    fn stalled(&mut self, _cycle: u64, _lane: usize) -> bool {
+        false
+    }
+}
+
 /// A data processor: registers, ALU, and its lane identity.
 #[derive(Debug, Clone)]
 pub struct DataProcessor {
     regs: [Word; NUM_REGS],
     lane: usize,
-    alu_ops: u64,
-    mem_reads: u64,
-    mem_writes: u64,
+    ops: Counters,
 }
 
 impl DataProcessor {
@@ -60,9 +243,7 @@ impl DataProcessor {
         DataProcessor {
             regs: [0; NUM_REGS],
             lane,
-            alu_ops: 0,
-            mem_reads: 0,
-            mem_writes: 0,
+            ops: Counters::default(),
         }
     }
 
@@ -83,16 +264,14 @@ impl DataProcessor {
 
     /// (alu, mem reads, mem writes) counters.
     pub fn counters(&self) -> (u64, u64, u64) {
-        (self.alu_ops, self.mem_reads, self.mem_writes)
+        (self.ops.alu, self.ops.reads, self.ops.writes)
     }
 
     /// Zero the register file and operation counters, keeping the lane
     /// identity — a pooled machine reuses the processor across requests.
     pub fn reset(&mut self) {
         self.regs = [0; NUM_REGS];
-        self.alu_ops = 0;
-        self.mem_reads = 0;
-        self.mem_writes = 0;
+        self.ops = Counters::default();
     }
 
     /// Run local instructions from `program[*pc]` until the cycle bound,
@@ -102,8 +281,16 @@ impl DataProcessor {
     /// instruction charges one cycle and one `stats.instructions`, and a
     /// stall that `faults` injects (the hashed `dp_stalled` query, asked
     /// right before each fetch) charges one cycle and one `stats.stalls`.
-    /// Registers, program counter and clock live in locals for the whole
-    /// burst and are written back on every exit, including errors.
+    /// `Halt` and an instruction whose memory access fails are charged
+    /// like any other and leave the program counter on themselves; a
+    /// fabric instruction and running off the end charge nothing.
+    ///
+    /// The kernel is one fused fetch–decode–execute loop over the shared
+    /// step.  Registers, program counter, clock, stall count and the
+    /// operation counters live in locals for the whole burst and are
+    /// written back once, on every exit including errors.  The stall roll
+    /// is chosen here, once: the kernel is instantiated once with the
+    /// plan's hashed roll and once with none.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_burst<T: Tracer>(
         &mut self,
@@ -112,127 +299,94 @@ impl DataProcessor {
         mem: &mut BankedMemory,
         stats: &mut Stats,
         bound: u64,
-        mut faults: Option<&mut FaultPlan>,
+        faults: Option<&mut FaultPlan>,
+        tracer: &mut T,
+    ) -> Result<BurstEnd, MachineError> {
+        match faults {
+            Some(plan) => self.burst(program, pc, mem, stats, bound, plan, tracer),
+            None => self.burst(program, pc, mem, stats, bound, &mut NoStalls, tracer),
+        }
+    }
+
+    /// [`DataProcessor::run_burst`] with its stall roll fixed.
+    #[allow(clippy::too_many_arguments)]
+    fn burst<S: StallRoll, T: Tracer>(
+        &mut self,
+        program: &Program,
+        pc: &mut usize,
+        mem: &mut BankedMemory,
+        stats: &mut Stats,
+        bound: u64,
+        stalls: &mut S,
         tracer: &mut T,
     ) -> Result<BurstEnd, MachineError> {
         let instrs = program.instrs();
-        let mut dp = self.clone();
+        let lane = self.lane;
+        let mut regs = self.regs;
+        let mut ops = self.ops;
         let mut at = *pc;
-        let mut cycle = stats.cycles;
-        let (mut issued, mut stalled) = (0u64, 0u64);
+        let start = stats.cycles;
+        let mut cycle = start;
+        let mut stalled = 0u64;
         let end = loop {
             if cycle >= bound {
                 break Ok(BurstEnd::Bound);
             }
-            if let Some(plan) = faults.as_deref_mut() {
-                if plan.dp_stalled(cycle + 1, dp.lane) {
-                    cycle += 1;
-                    stalled += 1;
-                    tracer.record(cycle, EventKind::FaultInjected(FaultKind::Stall));
-                    tracer.record(cycle, EventKind::Stall);
-                    continue;
-                }
+            if stalls.stalled(cycle + 1, lane) {
+                cycle += 1;
+                stalled += 1;
+                tracer.record(cycle, EventKind::FaultInjected(FaultKind::Stall));
+                tracer.record(cycle, EventKind::Stall);
+                continue;
             }
             let Some(&instr) = instrs.get(at) else {
                 break Ok(BurstEnd::OffEnd);
             };
-            if instr.uses_dp_dp() {
-                break Ok(BurstEnd::Fabric);
+            match step::<T, true>(&mut regs, &mut ops, lane, instr, mem, cycle + 1, tracer) {
+                Ok(Flow::Next) => at += 1,
+                Ok(Flow::Jump(target)) => at = target,
+                Ok(Flow::Halt) => {
+                    cycle += 1;
+                    break Ok(BurstEnd::Halt);
+                }
+                Ok(Flow::Fabric) => break Ok(BurstEnd::Fabric),
+                Err(e) => {
+                    cycle += 1;
+                    break Err(e);
+                }
             }
             cycle += 1;
-            issued += 1;
-            tracer.record(cycle, EventKind::Issue);
-            match dp.execute_traced(instr, mem, cycle, tracer) {
-                Ok(LocalOutcome::Next) => at += 1,
-                Ok(LocalOutcome::Branch(t)) => at = t,
-                Ok(LocalOutcome::Halt) => break Ok(BurstEnd::Halt),
-                Err(e) => break Err(e),
-            }
         };
-        *self = dp;
+        self.regs = regs;
+        self.ops = ops;
         *pc = at;
         stats.cycles = cycle;
-        stats.instructions += issued;
+        // Every charged cycle either stalled or issued an instruction.
+        stats.instructions += cycle - start - stalled;
         stats.stalls += stalled;
         end
     }
 
     /// Execute one *local* instruction (everything except the DP–DP fabric
-    /// instructions, which need machine-level context).  This is the only
-    /// definition of the local ISA semantics; it is inlined into
-    /// [`DataProcessor::run_burst`].
+    /// instructions, which need machine-level context) through the same
+    /// step the burst kernel runs.
     ///
     /// # Panics
-    /// Panics if handed a fabric instruction (`Send`/`Recv`/`GetLane`);
-    /// machines must intercept those first.
+    /// Panics if handed a fabric instruction (`Send`/`Recv`/`GetLane`),
+    /// which machines must intercept first, or an instruction naming a
+    /// register outside the register file.
     #[inline(always)]
     pub fn execute_local(
         &mut self,
         instr: Instr,
         mem: &mut BankedMemory,
     ) -> Result<LocalOutcome, MachineError> {
-        debug_assert!(
-            !instr.uses_dp_dp(),
-            "fabric instruction reached execute_local"
-        );
-        match instr {
-            Instr::Nop => Ok(LocalOutcome::Next),
-            Instr::Halt => Ok(LocalOutcome::Halt),
-            Instr::MovI(rd, imm) => {
-                self.set_reg(rd, imm);
-                Ok(LocalOutcome::Next)
-            }
-            Instr::Mov(rd, rs) => {
-                self.set_reg(rd, self.reg(rs));
-                Ok(LocalOutcome::Next)
-            }
-            Instr::Add(rd, a, b) => self.alu(rd, self.reg(a).wrapping_add(self.reg(b))),
-            Instr::Sub(rd, a, b) => self.alu(rd, self.reg(a).wrapping_sub(self.reg(b))),
-            Instr::Mul(rd, a, b) => self.alu(rd, self.reg(a).wrapping_mul(self.reg(b))),
-            Instr::Min(rd, a, b) => self.alu(rd, self.reg(a).min(self.reg(b))),
-            Instr::Max(rd, a, b) => self.alu(rd, self.reg(a).max(self.reg(b))),
-            Instr::AddI(rd, rs, imm) => self.alu(rd, self.reg(rs).wrapping_add(imm)),
-            Instr::Load(rd, rs) => {
-                let value = mem.read(self.lane, self.reg(rs))?;
-                self.mem_reads += 1;
-                self.set_reg(rd, value);
-                Ok(LocalOutcome::Next)
-            }
-            Instr::Store(ra, rs) => {
-                mem.write(self.lane, self.reg(ra), self.reg(rs))?;
-                self.mem_writes += 1;
-                Ok(LocalOutcome::Next)
-            }
-            Instr::LaneId(rd) => {
-                self.set_reg(rd, self.lane as Word);
-                Ok(LocalOutcome::Next)
-            }
-            Instr::Beq(a, b, t) => Ok(if self.reg(a) == self.reg(b) {
-                LocalOutcome::Branch(t)
-            } else {
-                LocalOutcome::Next
-            }),
-            Instr::Bne(a, b, t) => Ok(if self.reg(a) != self.reg(b) {
-                LocalOutcome::Branch(t)
-            } else {
-                LocalOutcome::Next
-            }),
-            Instr::Blt(a, b, t) => Ok(if self.reg(a) < self.reg(b) {
-                LocalOutcome::Branch(t)
-            } else {
-                LocalOutcome::Next
-            }),
-            Instr::Jmp(t) => Ok(LocalOutcome::Branch(t)),
-            Instr::Send(..) | Instr::Recv(..) | Instr::GetLane(..) => {
-                unreachable!("fabric instructions are intercepted by the machine")
-            }
-        }
+        self.execute_traced(instr, mem, 0, &mut NullTracer)
     }
 
-    /// [`DataProcessor::execute_local`] plus event emission: diffs the
-    /// internal counters across the call and records one `AluOp` /
-    /// `MemRead` / `MemWrite` event per increment.  With a disabled
-    /// tracer this is exactly `execute_local` (the diffing is skipped).
+    /// [`DataProcessor::execute_local`] plus event emission: records the
+    /// instruction's `AluOp` / `MemRead` / `MemWrite` event at `cycle`
+    /// when the tracer is enabled.  The caller records its `Issue`.
     #[inline(always)]
     pub fn execute_traced<T: Tracer>(
         &mut self,
@@ -241,22 +395,20 @@ impl DataProcessor {
         cycle: u64,
         tracer: &mut T,
     ) -> Result<LocalOutcome, MachineError> {
-        if !tracer.enabled() {
-            return self.execute_local(instr, mem);
+        match step::<T, false>(
+            &mut self.regs,
+            &mut self.ops,
+            self.lane,
+            instr,
+            mem,
+            cycle,
+            tracer,
+        )? {
+            Flow::Next => Ok(LocalOutcome::Next),
+            Flow::Jump(target) => Ok(LocalOutcome::Branch(target)),
+            Flow::Halt => Ok(LocalOutcome::Halt),
+            Flow::Fabric => unreachable!("fabric instructions are intercepted by the machine"),
         }
-        let before = self.counters();
-        let outcome = self.execute_local(instr, mem);
-        let after = self.counters();
-        tracer.record_many(cycle, EventKind::AluOp, after.0 - before.0);
-        tracer.record_many(cycle, EventKind::MemRead, after.1 - before.1);
-        tracer.record_many(cycle, EventKind::MemWrite, after.2 - before.2);
-        outcome
-    }
-
-    fn alu(&mut self, rd: Reg, value: Word) -> Result<LocalOutcome, MachineError> {
-        self.alu_ops += 1;
-        self.set_reg(rd, value);
-        Ok(LocalOutcome::Next)
     }
 }
 
@@ -264,6 +416,7 @@ impl DataProcessor {
 mod tests {
     use super::*;
     use crate::mem::DataTopology;
+    use skilltax_model::rng::XorShift64;
 
     fn mem() -> BankedMemory {
         BankedMemory::new(2, 16, DataTopology::PrivateBanks)
@@ -338,6 +491,139 @@ mod tests {
         let mut m = BankedMemory::new(8, 4, DataTopology::PrivateBanks);
         dp.execute_local(Instr::LaneId(5), &mut m).unwrap();
         assert_eq!(dp.reg(5), 7);
+    }
+
+    /// One burst replayed one instruction at a time through
+    /// `execute_local`: the per-instruction loop the fused kernel
+    /// replaced.  Returns the end (or error) with the processor, program
+    /// counter and stats advanced exactly as `run_burst` must leave them.
+    fn single_steps(
+        dp: &mut DataProcessor,
+        program: &Program,
+        pc: &mut usize,
+        mem: &mut BankedMemory,
+        stats: &mut Stats,
+        bound: u64,
+        mut faults: Option<&mut FaultPlan>,
+    ) -> Result<BurstEnd, MachineError> {
+        loop {
+            if stats.cycles >= bound {
+                return Ok(BurstEnd::Bound);
+            }
+            if let Some(plan) = faults.as_deref_mut() {
+                if plan.dp_stalled(stats.cycles + 1, dp.lane()) {
+                    stats.cycles += 1;
+                    stats.stalls += 1;
+                    continue;
+                }
+            }
+            let Some(instr) = program.fetch(*pc) else {
+                return Ok(BurstEnd::OffEnd);
+            };
+            if instr.uses_dp_dp() {
+                return Ok(BurstEnd::Fabric);
+            }
+            stats.cycles += 1;
+            stats.instructions += 1;
+            match dp.execute_local(instr, mem)? {
+                LocalOutcome::Next => *pc += 1,
+                LocalOutcome::Branch(t) => *pc = t,
+                LocalOutcome::Halt => return Ok(BurstEnd::Halt),
+            }
+        }
+    }
+
+    /// Local instructions, fabric instructions mid-program, addresses in
+    /// and out of the 16-word bank, and branches anywhere.
+    fn random_program(rng: &mut XorShift64) -> Program {
+        let len = 2 + rng.below(12) as usize;
+        let instrs = (0..len)
+            .map(|_| {
+                let r = |rng: &mut XorShift64| rng.below(5) as Reg;
+                let (a, b, c) = (r(rng), r(rng), r(rng));
+                let t = rng.below(len as u64) as usize;
+                match rng.below(20) {
+                    0 => Instr::Nop,
+                    1 | 2 => Instr::MovI(a, rng.below(24) as Word - 4),
+                    3 => Instr::Mov(a, b),
+                    4 => Instr::Add(a, b, c),
+                    5 => Instr::Sub(a, b, c),
+                    6 => Instr::Mul(a, b, c),
+                    7 => Instr::Min(a, b, c),
+                    8 => Instr::Max(a, b, c),
+                    9 | 10 => Instr::AddI(a, b, 1),
+                    11 => Instr::Load(a, b),
+                    12 => Instr::Store(a, b),
+                    13 => Instr::LaneId(a),
+                    14 => Instr::Beq(a, b, t),
+                    15 => Instr::Bne(a, b, t),
+                    16 => Instr::Blt(a, b, t),
+                    17 => Instr::Jmp(t),
+                    18 => Instr::Send(1, a),
+                    _ => Instr::Halt,
+                }
+            })
+            .collect();
+        Program::new(instrs).unwrap()
+    }
+
+    #[test]
+    fn bursts_match_single_steps_at_every_bound_and_resumption() {
+        let mut rng = XorShift64::new(0xB0257);
+        let mut ends = [0u32; 5];
+        for case in 0..600u64 {
+            let program = random_program(&mut rng);
+            let lane = rng.below(2) as usize;
+            let stalls = case % 2 == 1;
+            // Bursts of one fixed length, run until the kernel stops or
+            // the cycle budget is spent: every bound in one burst, and
+            // resumption from a mid-program pc in the short ones.
+            let chunk = [1, QUANTUM - 1, QUANTUM, QUANTUM + 1, 7][case as usize % 5];
+            let plan = FaultPlan::seeded(case).stall_dps(0.3);
+            let (mut kplan, mut rplan) = (plan.clone(), plan);
+            let (mut k, mut r) = (DataProcessor::new(lane), DataProcessor::new(lane));
+            let (mut kmem, mut rmem) = (mem(), mem());
+            let (mut kpc, mut rpc) = (0usize, 0usize);
+            let (mut ks, mut rs) = (Stats::default(), Stats::default());
+            loop {
+                let bound = ks.cycles + chunk;
+                let got = k.run_burst(
+                    &program,
+                    &mut kpc,
+                    &mut kmem,
+                    &mut ks,
+                    bound,
+                    stalls.then_some(&mut kplan),
+                    &mut NullTracer,
+                );
+                let want = single_steps(
+                    &mut r,
+                    &program,
+                    &mut rpc,
+                    &mut rmem,
+                    &mut rs,
+                    bound,
+                    stalls.then_some(&mut rplan),
+                );
+                let label = format!("case {case}: {program}");
+                assert_eq!(got, want, "{label}");
+                assert_eq!((kpc, ks), (rpc, rs), "{label}");
+                assert_eq!((k.regs, k.counters()), (r.regs, r.counters()), "{label}");
+                assert_eq!(kmem.bank(lane).contents(), rmem.bank(lane).contents());
+                assert_eq!(kplan.injected(), rplan.injected(), "{label}");
+                let slot = match got {
+                    Ok(BurstEnd::Bound) if ks.cycles < 3 * QUANTUM => continue,
+                    Ok(BurstEnd::Bound) => 0,
+                    Ok(BurstEnd::Halt) => 1,
+                    Ok(BurstEnd::OffEnd) => 2,
+                    Ok(BurstEnd::Fabric) => 3,
+                    Err(_) => 4,
+                };
+                ends[slot] += 1;
+                break;
+            }
+        }
+        assert!(ends.iter().all(|&n| n > 0), "{ends:?}");
     }
 
     #[test]

@@ -129,27 +129,83 @@ pub fn serve_with_perf(
     let accept_stop = Arc::clone(&stop);
     let epoch = Instant::now();
     let accept = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let service = Arc::clone(&service);
-            let config = config.clone();
-            let perf = perf.clone();
-            // One short-lived thread per connection: its lifetime is
-            // bounded by the read/write timeouts, and it never borrows a
-            // job worker, so a stalled client cannot stall the queue.
-            std::thread::spawn(move || {
-                let _ = handle_connection(&service, &config, epoch, perf.as_deref(), stream);
-            });
-        }
+        accept_loop(
+            || listener.accept().map(|(stream, _)| stream),
+            &accept_stop,
+            |stream| {
+                let service = Arc::clone(&service);
+                let config = config.clone();
+                let perf = perf.clone();
+                // One short-lived thread per connection: its lifetime is
+                // bounded by the read/write timeouts, and it never borrows
+                // a job worker, so a stalled client cannot stall the queue.
+                std::thread::spawn(move || {
+                    let _ = handle_connection(&service, &config, epoch, perf.as_deref(), stream);
+                });
+            },
+        );
     });
     Ok(HttpServer {
         local_addr,
         stop,
         accept: Some(accept),
     })
+}
+
+/// First pause after a failed accept.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+/// Longest pause between failed accepts.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+
+/// The pause schedule after consecutive failed accepts: 1 ms, doubling
+/// up to 100 ms, back to 1 ms after the next successful accept.
+#[derive(Debug)]
+struct AcceptBackoff {
+    next: Duration,
+}
+
+impl AcceptBackoff {
+    fn new() -> AcceptBackoff {
+        AcceptBackoff {
+            next: ACCEPT_BACKOFF_MIN,
+        }
+    }
+
+    /// The pause after one more failed accept.
+    fn failed(&mut self) -> Duration {
+        let pause = self.next;
+        self.next = (pause * 2).min(ACCEPT_BACKOFF_MAX);
+        pause
+    }
+
+    fn succeeded(&mut self) {
+        self.next = ACCEPT_BACKOFF_MIN;
+    }
+}
+
+/// Accept connections until `stop` is raised, handing each to `serve`.
+/// A persistent accept error (EMFILE, say) would otherwise spin a core,
+/// so failures back off ([`AcceptBackoff`]).  The flag is checked after
+/// every accept, so shutdown waits at most one pause plus one accept.
+fn accept_loop<S>(
+    mut accept: impl FnMut() -> io::Result<S>,
+    stop: &AtomicBool,
+    mut serve: impl FnMut(S),
+) {
+    let mut backoff = AcceptBackoff::new();
+    loop {
+        let accepted = accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok(stream) => {
+                backoff.succeeded();
+                serve(stream);
+            }
+            Err(_) => std::thread::sleep(backoff.failed()),
+        }
+    }
 }
 
 fn metrics_json(m: &ServiceMetrics) -> String {
@@ -581,4 +637,98 @@ fn wants_prometheus(query: &str, accept: &str) -> bool {
     accept
         .split(',')
         .any(|part| part.trim().split(';').next() == Some("text/plain"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn accept_backoff_doubles_to_its_cap_and_resets_on_success() {
+        let mut backoff = AcceptBackoff::new();
+        let ms = |d: Duration| d.as_millis();
+        let schedule: Vec<u128> = (0..10).map(|_| ms(backoff.failed())).collect();
+        assert_eq!(schedule, [1, 2, 4, 8, 16, 32, 64, 100, 100, 100]);
+        backoff.succeeded();
+        assert_eq!(ms(backoff.failed()), 1);
+        assert_eq!(ms(backoff.failed()), 2);
+    }
+
+    #[test]
+    fn persistent_accept_errors_back_off_instead_of_spinning() {
+        let stop = AtomicBool::new(false);
+        let calls = AtomicUsize::new(0);
+        let started = Instant::now();
+        accept_loop(
+            || -> io::Result<()> {
+                // Stop once the pauses have reached their cap.
+                if calls.fetch_add(1, Ordering::SeqCst) == 9 {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                Err(io::Error::other("too many open files"))
+            },
+            &stop,
+            |()| panic!("nothing was accepted"),
+        );
+        // Nine failures slept 1+2+...+64+100+100 ms.
+        assert_eq!(calls.load(Ordering::SeqCst), 10);
+        assert!(started.elapsed() >= Duration::from_millis(327));
+    }
+
+    #[test]
+    fn shutdown_during_backoff_is_bounded() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let calls = Arc::new(AtomicUsize::new(0));
+        let looping = {
+            let (stop, calls) = (Arc::clone(&stop), Arc::clone(&calls));
+            std::thread::spawn(move || {
+                accept_loop(
+                    || -> io::Result<()> {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        Err(io::Error::other("too many open files"))
+                    },
+                    &stop,
+                    |()| {},
+                );
+            })
+        };
+        // Let the pauses grow to their 100 ms cap, then stop mid-pause.
+        while calls.load(Ordering::SeqCst) < 9 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let raised = Instant::now();
+        stop.store(true, Ordering::SeqCst);
+        looping.join().unwrap();
+        // One pause (at most 100 ms) and one accept, with slack for a
+        // loaded host.
+        assert!(raised.elapsed() < Duration::from_millis(1_000));
+        // A hot loop would have made millions of calls by now.
+        assert!(calls.load(Ordering::SeqCst) < 20);
+    }
+
+    #[test]
+    fn accepted_streams_reach_serve_until_stop() {
+        let stop = AtomicBool::new(false);
+        let script = std::cell::Cell::new(0);
+        let served = std::cell::RefCell::new(Vec::new());
+        accept_loop(
+            || {
+                let n = script.get();
+                script.set(n + 1);
+                match n {
+                    0 | 1 | 3 => Err(io::Error::other("transient")),
+                    5 => {
+                        stop.store(true, Ordering::SeqCst);
+                        Ok(n)
+                    }
+                    _ => Ok(n),
+                }
+            },
+            &stop,
+            |n| served.borrow_mut().push(n),
+        );
+        // The accept that raced the stop flag is not served.
+        assert_eq!(served.into_inner(), [2, 4]);
+    }
 }

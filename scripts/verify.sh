@@ -38,6 +38,13 @@ cargo test --release --offline -p skilltax-machine --test scheduler_identity -q
 echo "==> cargo test --release --offline -p skilltax-machine --test decoupled_identity"
 cargo test --release --offline -p skilltax-machine --test decoupled_identity -q
 
+# Kernel identity: the fused local-instruction kernel must do exactly
+# what stepping the same programs one instruction at a time does — at
+# every cycle bound, under hashed stalls, traced and untraced
+# (DESIGN.md §9).
+echo "==> cargo test --release --offline -p skilltax-machine --test kernel_identity"
+cargo test --release --offline -p skilltax-machine --test kernel_identity -q
+
 # Shard + fleet identity: the shard-parallel runners must stay
 # counter-exact twins of the single-threaded schedulers (DESIGN.md §10),
 # and the structure-of-arrays fleet executor must stay bit-identical to
