@@ -8,13 +8,19 @@
 //!   <label>/                     one directory per artifact label
 //!     000001-<commit>.json       plain BENCH artifacts (schema v1),
 //!     000002-<commit>.json       named by append sequence + commit id
+//!     .000001.claim              empty; claims its sequence number
 //! ```
+//!
+//! Listing skips every dot-prefixed name: the sequence claims, and the
+//! temporary file an artifact write leaves mid-write or after a crash.
 //!
 //! Properties the layout buys:
 //!
 //! * **Append-only** — recording never rewrites an existing file; the
 //!   six-digit sequence prefix makes store order explicit, stable under
 //!   lexicographic listing, and independent of filesystem timestamps.
+//!   An append claims its number by creating the claim file with
+//!   `create_new`, so concurrent appends never share one.
 //! * **Self-describing** — every entry is a complete, independently
 //!   parseable `BENCH_*.json` artifact; the "index" is the directory
 //!   listing itself, so a partially written store never holds a stale
@@ -239,11 +245,25 @@ impl HistoryStore {
         validate_label(commit)?;
         let dir = self.root.join(&artifact.label);
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        let seq = match self.entries(&artifact.label) {
+        let mut seq = match self.entries(&artifact.label) {
             Ok(entries) => entries.last().map(|e| e.seq + 1).unwrap_or(1),
             Err(HistoryError::UnknownLabel(_)) => 1,
             Err(e) => return Err(e),
         };
+        // Claims outlive their entries, so a number is never handed out
+        // twice, even after a prune or a crash between claim and write.
+        loop {
+            let claim = dir.join(format!(".{seq:0SEQ_WIDTH$}.claim"));
+            match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&claim)
+            {
+                Ok(_) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => seq += 1,
+                Err(e) => return Err(io_err(&claim, e)),
+            }
+        }
         let path = dir.join(format!("{seq:0SEQ_WIDTH$}-{commit}.json"));
         artifact.write_file(&path).map_err(|e| match e {
             ArtifactError::Io { path, message } => HistoryError::Io { path, message },
@@ -297,9 +317,11 @@ impl HistoryStore {
         }
     }
 
-    /// All entries for `label`, sorted by sequence number.  File names
-    /// that do not follow the scheme, duplicate sequence numbers, and
-    /// invalid commit ids are typed [`HistoryError::CorruptEntry`]s.
+    /// All entries for `label`, sorted by sequence number.  Dot-prefixed
+    /// names (sequence claims, in-flight or crashed-mid-write temporary
+    /// files) are skipped; other file names that do not follow the
+    /// scheme, duplicate sequence numbers, and invalid commit ids are
+    /// typed [`HistoryError::CorruptEntry`]s.
     pub fn entries(&self, label: &str) -> Result<Vec<HistoryEntry>, HistoryError> {
         validate_label(label)?;
         let dir = self.root.join(label);
@@ -322,6 +344,9 @@ impl HistoryStore {
                 .file_name()
                 .and_then(|n| n.to_str())
                 .ok_or_else(|| corrupt("file name is not UTF-8"))?;
+            if name.starts_with('.') {
+                continue;
+            }
             let stem = name
                 .strip_suffix(".json")
                 .ok_or_else(|| corrupt("expected a .json entry"))?;

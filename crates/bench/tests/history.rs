@@ -186,6 +186,64 @@ fn corrupt_stored_artifacts_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn a_temp_file_left_mid_write_does_not_corrupt_the_listing() {
+    let scratch = Scratch::new();
+    let store = HistoryStore::open(&scratch.0);
+    let a = artifact("smoke", vec![record("machine/x", 100, 50.0)]);
+    store.append("c1", &a).expect("append");
+    // The sibling an atomic artifact write leaves while it is in flight,
+    // or for good after a crash.
+    let temp = scratch.0.join("smoke").join(".000002-c2.json.4242.0.tmp");
+    std::fs::write(&temp, "{half an artif").unwrap();
+    let entries = store.entries("smoke").expect("listing skips the temp file");
+    assert_eq!(entries.len(), 1);
+    store.append("c2", &a).expect("append past it");
+    let seqs: Vec<u64> = store
+        .entries("smoke")
+        .unwrap()
+        .iter()
+        .map(|e| e.seq)
+        .collect();
+    assert_eq!(seqs, vec![1, 2]);
+    assert!(store.trajectory("smoke", "machine/x", "cycles").is_ok());
+}
+
+#[test]
+fn concurrent_appends_claim_distinct_ascending_sequence_numbers() {
+    let scratch = Scratch::new();
+    let store = HistoryStore::open(&scratch.0);
+    let claimed: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let appenders: Vec<_> = (0..2)
+            .map(|t| {
+                let store = &store;
+                scope.spawn(move || {
+                    (0..20)
+                        .map(|i| {
+                            let a = artifact("smoke", vec![record("machine/x", i, 50.0)]);
+                            store.append(&format!("t{t}c{i}"), &a).expect("append").seq
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        appenders.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for seqs in &claimed {
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
+    }
+    let mut all: Vec<u64> = claimed.concat();
+    all.sort_unstable();
+    assert_eq!(all, (1..=40).collect::<Vec<u64>>());
+    let listed: Vec<u64> = store
+        .entries("smoke")
+        .unwrap()
+        .iter()
+        .map(|e| e.seq)
+        .collect();
+    assert_eq!(listed, all);
+}
+
+#[test]
 fn hostile_labels_and_commits_never_touch_the_filesystem() {
     let scratch = Scratch::new();
     let store = HistoryStore::open(&scratch.0);

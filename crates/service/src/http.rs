@@ -4,6 +4,15 @@
 //! body are capped, and a slow-loris client times out on its own
 //! connection thread without ever pinning a job worker.
 //!
+//! One accept thread hands each connection to the connection thread that
+//! parked most recently, spawning one only when none is parked.  A
+//! connection thread serves one connection at a time (one request, then
+//! `Connection: close`), parks, and exits after
+//! `CONNECTIONS_PER_THREAD` (64) connections.  Their number is capped at
+//! [`Service::job_capacity`] plus [`CONNECTION_RESERVE`]; past the cap
+//! the accept thread itself answers `503` with `Retry-After`, counted in
+//! `/metrics` as `refused_connections`.
+//!
 //! Routes:
 //!
 //! * `POST /jobs` — a `key=value&…` body ([`crate::proto::parse_request`]);
@@ -21,9 +30,10 @@
 //!   [`crate::perf`]); 404 otherwise.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -73,6 +83,7 @@ pub struct HttpServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
+    threads: Arc<Threads<TcpStream>>,
 }
 
 impl std::fmt::Debug for HttpServer {
@@ -89,14 +100,23 @@ impl HttpServer {
         self.local_addr
     }
 
-    /// Stop accepting connections and join the accept loop.  In-flight
-    /// connection threads finish on their own timeouts.
+    /// Connection threads alive now, parked or serving; never more than
+    /// [`Service::job_capacity`] plus [`CONNECTION_RESERVE`].
+    pub fn connection_threads(&self) -> usize {
+        self.threads.lock().live
+    }
+
+    /// Stop accepting connections, join the accept loop and retire the
+    /// connection threads: parked ones wake and exit, busy ones exit
+    /// after their current connection (bounded by its timeouts).
     pub fn shutdown(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
         // Unblock the accept call with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
+        // The accept thread owns the connection pool, so joining it also
+        // retires the pool (see `ConnectionPool`'s `Drop`).
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -128,20 +148,22 @@ pub fn serve_with_perf(
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = Arc::clone(&stop);
     let epoch = Instant::now();
+    let cap = service.job_capacity() + CONNECTION_RESERVE;
+    let refusals = Arc::clone(&service);
+    // Connection threads never borrow a job worker, so a stalled client
+    // holds only its own thread, and only until its timeouts expire.
+    let pool = ConnectionPool::new(cap, move |stream| {
+        let _ = handle_connection(&service, &config, epoch, perf.as_deref(), stream);
+    });
+    let threads = Arc::clone(&pool.threads);
     let accept = std::thread::spawn(move || {
         accept_loop(
             || listener.accept().map(|(stream, _)| stream),
             &accept_stop,
             |stream| {
-                let service = Arc::clone(&service);
-                let config = config.clone();
-                let perf = perf.clone();
-                // One short-lived thread per connection: its lifetime is
-                // bounded by the read/write timeouts, and it never borrows
-                // a job worker, so a stalled client cannot stall the queue.
-                std::thread::spawn(move || {
-                    let _ = handle_connection(&service, &config, epoch, perf.as_deref(), stream);
-                });
+                if let Err(stream) = pool.dispatch(stream) {
+                    refuse(&refusals, stream);
+                }
             },
         );
     });
@@ -149,7 +171,183 @@ pub fn serve_with_perf(
         local_addr,
         stop,
         accept: Some(accept),
+        threads,
     })
+}
+
+/// Connections one connection thread serves before it exits.  Reuse
+/// saves the 39–48 µs of CPU a thread spawn costs, but a thread that
+/// never exits keeps 240–270 KB resident, against 32–60 KB for one that
+/// served a single connection: glibc's per-thread cache pins freed
+/// chunks for the thread's lifetime.  Exiting after 64 spreads each
+/// spawn over 64 connections and bounds that growth (DESIGN.md §11).
+const CONNECTIONS_PER_THREAD: usize = 64;
+
+/// Connection threads allowed beyond one per job the service can hold:
+/// headroom for `GET` routes and slow clients while every job slot is
+/// taken.
+pub const CONNECTION_RESERVE: usize = 8;
+
+/// Name of every connection thread.
+const CONNECTION_THREAD_NAME: &str = "skilltax-conn";
+
+/// Write timeout for the `503` at the cap.  The accept thread writes it
+/// itself, so it must never wait long on that client.
+const REFUSAL_WRITE_TIMEOUT: Duration = Duration::from_millis(10);
+
+/// The connection threads' shared state: the cap, the live count it
+/// bounds, and the LIFO stack of parked threads.
+struct Threads<S> {
+    cap: usize,
+    state: Mutex<ThreadsState<S>>,
+}
+
+struct ThreadsState<S> {
+    /// Threads alive, parked or serving.
+    live: usize,
+    /// One-slot hand-off channels of the parked threads, most recently
+    /// parked last.
+    parked: Vec<SyncSender<S>>,
+    /// Raised by shutdown: no thread parks again.
+    retired: bool,
+}
+
+impl<S> Threads<S> {
+    /// Every critical section leaves the state consistent (none can
+    /// panic midway), so a poisoned lock is safe to keep using.
+    fn lock(&self) -> MutexGuard<'_, ThreadsState<S>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake every parked thread to exit (dropping its channel's sender
+    /// ends its wait) and stop busy ones from parking again.
+    fn retire(&self) {
+        let mut state = self.lock();
+        state.retired = true;
+        state.parked.clear();
+    }
+}
+
+/// One live thread's place under the cap, given back on drop: when the
+/// thread exits, when it panics, and when it never starts.
+struct LiveSlot<S>(Arc<Threads<S>>);
+
+impl<S> Drop for LiveSlot<S> {
+    fn drop(&mut self) {
+        self.0.lock().live -= 1;
+    }
+}
+
+/// Bounded, reused connection threads, generic over what a connection
+/// is (`S`) and how one is served (`F`).
+struct ConnectionPool<S, F> {
+    threads: Arc<Threads<S>>,
+    serve: Arc<F>,
+}
+
+impl<S, F> ConnectionPool<S, F>
+where
+    S: Send + 'static,
+    F: Fn(S) + Send + Sync + 'static,
+{
+    fn new(cap: usize, serve: F) -> ConnectionPool<S, F> {
+        ConnectionPool {
+            threads: Arc::new(Threads {
+                cap,
+                state: Mutex::new(ThreadsState {
+                    live: 0,
+                    parked: Vec::new(),
+                    retired: false,
+                }),
+            }),
+            serve: Arc::new(serve),
+        }
+    }
+
+    /// Hand `conn` to the most recently parked thread, or to a new
+    /// thread when none is parked.  At the cap `conn` comes back for the
+    /// caller to refuse.  If the OS refuses a new thread, `conn` is
+    /// dropped, which closes it.
+    fn dispatch(&self, mut conn: S) -> Result<(), S> {
+        let mut state = self.threads.lock();
+        while let Some(parked) = state.parked.pop() {
+            match parked.try_send(conn) {
+                Ok(()) => return Ok(()),
+                // A parked thread waits on its empty slot until woken,
+                // so this is unreachable; trying the next one is safe.
+                Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => conn = back,
+            }
+        }
+        if state.live >= self.threads.cap {
+            return Err(conn);
+        }
+        state.live += 1;
+        drop(state);
+        let slot = LiveSlot(Arc::clone(&self.threads));
+        let serve = Arc::clone(&self.serve);
+        // Detached: shutdown must not wait on a slow client, and `slot`
+        // gives the place back however the thread ends.
+        let _ = std::thread::Builder::new()
+            .name(CONNECTION_THREAD_NAME.to_owned())
+            .spawn(move || connection_thread(&slot, &*serve, conn));
+        Ok(())
+    }
+}
+
+/// The accept thread owns the pool, so this retires the connection
+/// threads when the accept loop ends.
+impl<S, F> Drop for ConnectionPool<S, F> {
+    fn drop(&mut self) {
+        self.threads.retire();
+    }
+}
+
+/// A connection thread: serve `conn`, park until the accept thread hands
+/// over the next one, and exit after [`CONNECTIONS_PER_THREAD`] or once
+/// the pool retires.
+fn connection_thread<S, F: Fn(S)>(slot: &LiveSlot<S>, serve: &F, mut conn: S) {
+    for _ in 1..CONNECTIONS_PER_THREAD {
+        serve(conn);
+        let (handoff, next) = mpsc::sync_channel(1);
+        {
+            let mut state = slot.0.lock();
+            if state.retired {
+                return;
+            }
+            state.parked.push(handoff);
+        }
+        match next.recv() {
+            Ok(handed) => conn = handed,
+            Err(_) => return,
+        }
+    }
+    serve(conn);
+}
+
+/// Turn away a connection the thread cap refused: `503` with
+/// `Retry-After`, written by the accept thread under a short write
+/// timeout.  Request bytes already received are read without blocking,
+/// so the close is less likely to reset the response away.
+fn refuse(service: &Service, mut stream: TcpStream) {
+    service.record_refused_connection();
+    let _ = stream.set_write_timeout(Some(REFUSAL_WRITE_TIMEOUT));
+    let _ = write_response(
+        &mut stream,
+        "503 Service Unavailable",
+        JSON_CONTENT_TYPE,
+        Some(1_000),
+        "{\"error\":\"connection threads at capacity\"}",
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut sink = [0u8; 1024];
+        for _ in 0..16 {
+            match stream.read(&mut sink) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+        }
+    }
 }
 
 /// First pause after a failed accept.
@@ -216,7 +414,8 @@ fn metrics_json(m: &ServiceMetrics) -> String {
         .collect();
     format!(
         "{{\"submitted\":{},\"admitted\":{},\"rejected\":{},\"finished\":{},\
-         \"in_flight\":{},\"peak_depth\":{},\"trace_events_dropped\":{},\"outcomes\":{{{}}}}}",
+         \"in_flight\":{},\"peak_depth\":{},\"trace_events_dropped\":{},\"outcomes\":{{{}}},\
+         \"refused_connections\":{}}}",
         m.submitted,
         m.admitted,
         m.rejected(),
@@ -224,7 +423,8 @@ fn metrics_json(m: &ServiceMetrics) -> String {
         m.in_flight,
         m.peak_depth,
         m.trace_events_dropped,
-        outcomes.join(",")
+        outcomes.join(","),
+        m.refused_connections
     )
 }
 
@@ -259,6 +459,16 @@ pub fn prometheus_text(m: &ServiceMetrics) -> String {
     ] {
         w.sample("skilltax_jobs_rejected_total", &[("reason", reason)], count);
     }
+    w.family(
+        "skilltax_http_refused_connections_total",
+        "counter",
+        "Connections refused with 503 at the connection-thread cap.",
+    )
+    .sample(
+        "skilltax_http_refused_connections_total",
+        &[],
+        m.refused_connections,
+    );
     w.family(
         "skilltax_jobs_finished_total",
         "counter",
@@ -471,7 +681,7 @@ fn handle_connection(
     // Graceful close: signal EOF to the peer first, then drain whatever
     // request bytes are still in flight (bounded by the read timeout),
     // so a capped request sees the error response instead of a reset.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.shutdown(Shutdown::Write);
     let mut sink = [0u8; 1024];
     for _ in 0..64 {
         match stream.read(&mut sink) {
@@ -643,6 +853,99 @@ fn wants_prometheus(query: &str, accept: &str) -> bool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// Poll `done` for up to five seconds.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn a_panicking_connection_thread_gives_its_place_back() {
+        let (served, seen) = mpsc::channel();
+        let pool = ConnectionPool::new(1, move |n: u32| {
+            assert_ne!(n, 0, "connection 0 panics its thread");
+            served.send(n).unwrap();
+        });
+        assert!(pool.dispatch(0).is_ok());
+        assert!(eventually(|| pool.threads.lock().live == 0));
+        // The cap is 1 and the panicked thread is gone: the next
+        // connection gets a fresh thread, not a refusal.
+        assert!(pool.dispatch(1).is_ok());
+        assert_eq!(seen.recv_timeout(Duration::from_secs(5)), Ok(1));
+    }
+
+    #[test]
+    fn the_cap_refuses_while_every_thread_is_busy() {
+        let (release, gate) = mpsc::sync_channel::<()>(0);
+        let gate = Mutex::new(gate);
+        let pool = ConnectionPool::new(1, move |()| {
+            let _ = gate.lock().unwrap().recv();
+        });
+        assert!(pool.dispatch(()).is_ok());
+        assert_eq!(pool.dispatch(()), Err(()));
+        release.send(()).unwrap();
+        assert!(eventually(|| pool.threads.lock().parked.len() == 1));
+        assert!(pool.dispatch(()).is_ok());
+        release.send(()).unwrap();
+    }
+
+    #[test]
+    fn threads_are_reused_then_retire_after_their_quota() {
+        let (served, seen) = mpsc::channel();
+        let pool = ConnectionPool::new(4, move |()| {
+            served.send(std::thread::current().id()).unwrap();
+        });
+        let mut ids = Vec::new();
+        for _ in 0..2 * CONNECTIONS_PER_THREAD + 1 {
+            assert!(pool.dispatch(()).is_ok());
+            ids.push(seen.recv_timeout(Duration::from_secs(5)).unwrap());
+            // Wait for the thread to park again or, at its quota, exit.
+            assert!(eventually(|| {
+                let state = pool.threads.lock();
+                state.parked.len() == 1 || state.live == 0
+            }));
+        }
+        let per_thread = CONNECTIONS_PER_THREAD;
+        assert!(ids[..per_thread].iter().all(|id| *id == ids[0]));
+        assert!(ids[per_thread..2 * per_thread]
+            .iter()
+            .all(|id| *id == ids[per_thread]));
+        assert_ne!(ids[0], ids[per_thread]);
+        assert_ne!(ids[per_thread], ids[2 * per_thread]);
+    }
+
+    #[test]
+    fn dropping_the_pool_retires_parked_and_busy_threads() {
+        let (release, gate) = mpsc::sync_channel::<()>(0);
+        let gate = Mutex::new(gate);
+        let pool = ConnectionPool::new(4, move |busy: bool| {
+            if busy {
+                let _ = gate.lock().unwrap().recv();
+            }
+        });
+        assert!(pool.dispatch(false).is_ok());
+        assert!(eventually(|| pool.threads.lock().parked.len() == 1));
+        assert!(pool.dispatch(true).is_ok());
+        // The parked thread takes the busy connection; hand the next
+        // one to a second thread so one parks while one serves.
+        assert!(pool.dispatch(false).is_ok());
+        assert!(eventually(|| pool.threads.lock().parked.len() == 1));
+        let threads = Arc::clone(&pool.threads);
+        drop(pool);
+        // The parked thread exits at once; the busy one after its
+        // connection, instead of parking again.
+        assert!(eventually(|| threads.lock().live == 1));
+        release.send(()).unwrap();
+        assert!(eventually(|| threads.lock().live == 0));
+        assert!(threads.lock().parked.is_empty());
+    }
 
     #[test]
     fn accept_backoff_doubles_to_its_cap_and_resets_on_success() {

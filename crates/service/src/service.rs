@@ -7,6 +7,7 @@
 //! clock), so they replay bit-identically under any worker count.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,6 +93,9 @@ pub struct ServiceMetrics {
     pub queue_wait_ms: Histogram,
     /// Simulated cycles consumed per finished job, log2-bucketed.
     pub run_cycles: Histogram,
+    /// Connections the HTTP front end refused with `503` because every
+    /// connection thread was busy (see [`Service::job_capacity`]).
+    pub refused_connections: u64,
 }
 
 impl ServiceMetrics {
@@ -232,6 +236,9 @@ struct Inner {
     engine: Engine,
     /// Bounded ring of finished profiled-job traces (oldest evicted).
     traces: Mutex<VecDeque<JobTrace>>,
+    /// Front-end refusals; an atomic, so counting one never waits on
+    /// (or panics over) the dispatch lock.
+    refused_connections: AtomicU64,
 }
 
 /// The multi-tenant job service.
@@ -363,6 +370,7 @@ impl Service {
             engine,
             config,
             traces: Mutex::new(VecDeque::new()),
+            refused_connections: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|_| {
@@ -573,7 +581,23 @@ impl Service {
         let state = self.inner.state.lock().expect("service lock poisoned");
         let mut metrics = state.metrics.clone();
         metrics.peak_depth = state.queue.peak_depth();
+        metrics.refused_connections = self.inner.refused_connections.load(Ordering::Relaxed);
         metrics
+    }
+
+    /// Jobs the service can hold at once: a full queue plus one running
+    /// on every worker.  The HTTP front end derives its connection-thread
+    /// cap from this, so a full queue answers `429` before the front end
+    /// refuses anything.
+    pub fn job_capacity(&self) -> usize {
+        self.inner.config.queue_capacity + self.inner.config.workers.max(1)
+    }
+
+    /// Count one connection the HTTP front end refused at its cap.
+    pub(crate) fn record_refused_connection(&self) {
+        self.inner
+            .refused_connections
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// The engine (pool inspection for tests and warm-up).

@@ -23,7 +23,6 @@ fn start(queue: usize, workers: usize) -> (Arc<Service>, skilltax_service::HttpS
             write_timeout: Duration::from_millis(300),
             max_header_bytes: 2048,
             max_body_bytes: 4096,
-            ..HttpConfig::default()
         },
     )
     .expect("bind loopback");
@@ -467,4 +466,39 @@ fn shutdown_stops_accepting() {
         let _ = stream.read_to_string(&mut out);
         assert!(!out.contains("\"ok\":true"), "served after shutdown");
     }
+}
+
+#[test]
+fn shutdown_retires_connection_threads_and_releases_the_service() {
+    let (service, mut server) = start(8, 1);
+    let addr = server.local_addr();
+    // Served connections leave their threads parked…
+    for _ in 0..3 {
+        let health = roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(health.contains("\"ok\":true"), "{health}");
+    }
+    // …and a stalled client keeps one busy.  Connections are accepted in
+    // order, so once the probe after it answers, the stall is being served.
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    let probe = roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(probe.contains("\"ok\":true"), "{probe}");
+    server.shutdown();
+    // The busy thread answers its stall within one read timeout, then
+    // exits instead of parking; the parked ones have already left.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut fate = String::new();
+    stalled.read_to_string(&mut fate).expect("read fate");
+    assert!(fate.starts_with("HTTP/1.1 408"), "{fate}");
+    drop(stalled);
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while (Arc::strong_count(&service) > 1 || server.connection_threads() > 0)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(Arc::strong_count(&service), 1, "a connection thread leaked");
+    assert_eq!(server.connection_threads(), 0);
 }

@@ -10,21 +10,24 @@
 use skilltax_service::{prometheus_text, ServiceMetrics};
 
 fn sample_metrics() -> ServiceMetrics {
-    let mut m = ServiceMetrics::default();
-    m.submitted = 12;
-    m.admitted = 9;
-    m.rejected_queue_full = 1;
-    m.rejected_quota = 1;
-    m.rejected_oversized = 1;
+    let mut m = ServiceMetrics {
+        submitted: 12,
+        admitted: 9,
+        rejected_queue_full: 1,
+        rejected_quota: 1,
+        rejected_oversized: 1,
+        in_flight: 1,
+        peak_depth: 4,
+        trace_events_dropped: 3,
+        refused_connections: 2,
+        ..ServiceMetrics::default()
+    };
     m.outcomes.insert("completed", 7);
     m.outcomes.insert("timed-out", 1);
-    m.in_flight = 1;
-    m.peak_depth = 4;
     m.per_tenant.insert("acme".into(), (5, 4));
     // A hostile tenant id: quote, backslash and newline must all be
     // escaped or the line-oriented format is corrupted.
     m.per_tenant.insert("evil\"corp\\x\n".into(), (4, 3));
-    m.trace_events_dropped = 3;
     for wait_ms in [0, 1, 3, 900] {
         m.queue_wait_ms.record(wait_ms);
     }
@@ -95,11 +98,7 @@ fn histogram_bucket_series_are_cumulative_and_end_at_inf() {
             counts.windows(2).all(|w| w[0] <= w[1]),
             "{family} buckets not monotone: {counts:?}"
         );
-        let inf_line = doc
-            .lines()
-            .filter(|l| l.starts_with(&prefix))
-            .next_back()
-            .unwrap();
+        let inf_line = doc.lines().rfind(|l| l.starts_with(&prefix)).unwrap();
         assert!(inf_line.contains("le=\"+Inf\""), "{inf_line}");
         let count_line = doc
             .lines()

@@ -11,8 +11,8 @@ cargo build --release --offline --workspace --benches
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
-echo "==> cargo clippy --all-targets --offline -- -D warnings"
-cargo clippy --all-targets --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
