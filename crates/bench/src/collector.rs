@@ -25,7 +25,6 @@ use skilltax_catalog::full_survey;
 use skilltax_estimate::{estimate_area, estimate_config_bits, CostParams};
 use skilltax_machine::array::ArraySubtype;
 use skilltax_machine::dataflow::DataflowSubtype;
-use skilltax_machine::fleet::{FleetExec, LaneKernels};
 use skilltax_machine::interconnect::FabricTopology;
 use skilltax_machine::multi::{MultiMachine, MultiSubtype};
 use skilltax_machine::profile::{NullProfiler, Phase, SpanProfile};
@@ -540,14 +539,7 @@ pub fn suite() -> Vec<SuiteBench> {
         |_| {
             let seeds: Vec<u64> = (1..=64).collect();
             let (mut total, mut faults) = (Stats::default(), 0);
-            for run in run_fault_monte_carlo_array(
-                ArraySubtype::III,
-                16,
-                &seeds,
-                0.2,
-                0.05,
-                FleetExec::Sequential,
-            ) {
+            for run in run_fault_monte_carlo_array(ArraySubtype::III, 16, &seeds, 0.2, 0.05) {
                 let run = run.expect("every seed completes");
                 total = total.accumulate_sequential(run.stats);
                 faults += run.faults_injected;
@@ -656,48 +648,12 @@ pub fn suite() -> Vec<SuiteBench> {
         },
     ));
 
-    // --- fleet twins (structure-of-arrays batch execution) -----------
-    //
-    // Each swarm workload appears three times: the baseline runs its N
-    // instances sequentially on the dense reference machines, the
-    // `/fleet` twin routes the same population through the SoA executors
-    // in `machine::fleet` (DESIGN.md §14) with the scalar lane kernels,
-    // and the `/fleet_simd` twin drives the wide lane kernels over the
-    // same range runs (8-wide unrolled; AVX2/SSE2 under `--features
-    // simd` with runtime CPU detection, and without the feature the
-    // wide request degrades to the scalar loops — so the twin exists in
-    // every build and the hard counter gate below always holds).
-    // Deterministic counters are identical by construction (enforced by
-    // the fleet-identity suite and the test below); wall time shows
-    // whether the amortisation pays.  On the uni swarm it does not: the
-    // sequential baseline runs the uni-processor's burst kernel and
-    // beats the `/fleet` twin (README, "Fleet execution").
+    // --- swarms: N instances run one after another ------------------
     benches.push(SuiteBench::new(
         "machine/spin_swarm/uni/96",
         "machine.uni",
         |tracer| {
-            let stats = run_spin_swarm_uni_traced(96, 150, FleetExec::Sequential, tracer)
-                .expect("the swarm spins");
-            stats_counters(&stats)
-        },
-    ));
-    benches.push(SuiteBench::new(
-        "machine/spin_swarm/uni/96/fleet",
-        "machine.uni",
-        |tracer| {
-            let stats =
-                run_spin_swarm_uni_traced(96, 150, FleetExec::Fleet(LaneKernels::Scalar), tracer)
-                    .expect("the swarm spins");
-            stats_counters(&stats)
-        },
-    ));
-    benches.push(SuiteBench::new(
-        "machine/spin_swarm/uni/96/fleet_simd",
-        "machine.uni",
-        |tracer| {
-            let stats =
-                run_spin_swarm_uni_traced(96, 150, FleetExec::Fleet(LaneKernels::Wide), tracer)
-                    .expect("the swarm spins");
+            let stats = run_spin_swarm_uni_traced(96, 150, tracer).expect("the swarm spins");
             stats_counters(&stats)
         },
     ));
@@ -705,44 +661,8 @@ pub fn suite() -> Vec<SuiteBench> {
         "machine/vector_add_swarm/array-I/64x4",
         "machine.array",
         |tracer| {
-            let stats = run_vector_add_swarm_array_traced(
-                ArraySubtype::I,
-                64,
-                4,
-                FleetExec::Sequential,
-                tracer,
-            )
-            .expect("the swarm adds");
-            stats_counters(&stats)
-        },
-    ));
-    benches.push(SuiteBench::new(
-        "machine/vector_add_swarm/array-I/64x4/fleet",
-        "machine.array",
-        |tracer| {
-            let stats = run_vector_add_swarm_array_traced(
-                ArraySubtype::I,
-                64,
-                4,
-                FleetExec::Fleet(LaneKernels::Scalar),
-                tracer,
-            )
-            .expect("the swarm adds");
-            stats_counters(&stats)
-        },
-    ));
-    benches.push(SuiteBench::new(
-        "machine/vector_add_swarm/array-I/64x4/fleet_simd",
-        "machine.array",
-        |tracer| {
-            let stats = run_vector_add_swarm_array_traced(
-                ArraySubtype::I,
-                64,
-                4,
-                FleetExec::Fleet(LaneKernels::Wide),
-                tracer,
-            )
-            .expect("the swarm adds");
+            let stats = run_vector_add_swarm_array_traced(ArraySubtype::I, 64, 4, tracer)
+                .expect("the swarm adds");
             stats_counters(&stats)
         },
     ));
@@ -1018,33 +938,6 @@ mod tests {
             find("machine/mimd_stagger/multi/256/profiled"),
             "an enabled profiler observes the run, it never perturbs it"
         );
-    }
-
-    #[test]
-    fn fleet_twins_report_identical_counters() {
-        let suite = suite();
-        let find = |name: &str| {
-            suite
-                .iter()
-                .find(|b| b.name() == name)
-                .expect("registered")
-                .capture_counters()
-        };
-        for base in [
-            "machine/spin_swarm/uni/96",
-            "machine/vector_add_swarm/array-I/64x4",
-        ] {
-            assert_eq!(
-                find(base),
-                find(&format!("{base}/fleet")),
-                "{base}: SoA fleet execution must not change a single counter"
-            );
-            assert_eq!(
-                find(base),
-                find(&format!("{base}/fleet_simd")),
-                "{base}: wide lane kernels must not change a single counter"
-            );
-        }
     }
 
     #[test]

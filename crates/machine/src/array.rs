@@ -18,10 +18,10 @@
 use skilltax_model::{ArchSpec, Count, Link, Relation};
 
 use crate::cancel::{flag_trip, CancelToken, RunBudget};
-use crate::dp::{DataProcessor, LocalOutcome};
+use crate::dp::{broadcast, DataProcessor, LocalOutcome, QUANTUM};
 use crate::error::MachineError;
 use crate::exec::Stats;
-use crate::fault::{FaultPlan, RunOutcome};
+use crate::fault::{FaultPlan, RunOutcome, StallRuns};
 use crate::interconnect::FabricTopology;
 use crate::isa::{Instr, Word};
 use crate::mem::{BankedMemory, DataTopology};
@@ -88,6 +88,14 @@ pub struct ArrayMachine {
     cycle_limit: u64,
     dense_reference: bool,
     cancel: CancelToken,
+    /// Per-run scratch, kept across runs so a reset machine allocates
+    /// nothing: the lane-alive mask, the live lanes in ascending order,
+    /// each lane's operation counters at the start of the run, and the
+    /// pre-instruction registers a `getlane` reads.
+    alive: Vec<bool>,
+    live: Vec<usize>,
+    base: Vec<(u64, u64, u64)>,
+    snapshot: Vec<Word>,
 }
 
 impl ArrayMachine {
@@ -101,6 +109,10 @@ impl ArrayMachine {
             cycle_limit: DEFAULT_CYCLE_LIMIT,
             dense_reference: false,
             cancel: CancelToken::new(),
+            alive: Vec::new(),
+            live: Vec::new(),
+            base: Vec::new(),
+            snapshot: Vec::new(),
         }
     }
 
@@ -117,9 +129,11 @@ impl ArrayMachine {
         self
     }
 
-    /// Re-test the alive mask on every lane visit (the dense reference)
-    /// instead of iterating the precomputed live-lane set (see DESIGN.md
-    /// §9); the two are counter-identical.
+    /// Step the broadcast lane by lane through
+    /// [`DataProcessor::execute_traced`] over the alive mask (the dense
+    /// reference) instead of the opcode-hoisted kernel over the
+    /// precomputed live-lane set (see DESIGN.md §9); the two take the
+    /// same stall runs and are counter-identical.
     pub fn with_dense_reference(mut self, dense: bool) -> ArrayMachine {
         self.dense_reference = dense;
         self
@@ -128,7 +142,8 @@ impl ArrayMachine {
     /// Scrub architectural state — every lane's registers and counters,
     /// every memory word — without an allocation, so one machine can run
     /// a study's seeds back to back as if each had a fresh machine.  The
-    /// cycle limit, cancellation token and scheduler choice stay.
+    /// cycle limit, cancellation token, scheduler choice and the run
+    /// scratch's capacity stay.
     pub fn reset(&mut self) {
         self.lanes.iter_mut().for_each(DataProcessor::reset);
         self.mem.clear();
@@ -195,42 +210,55 @@ impl ArrayMachine {
         program: &Program,
         tracer: &mut T,
     ) -> Result<Stats, MachineError> {
-        let alive = vec![true; self.lanes.len()];
-        self.run_masked(program, &alive, None, tracer)
+        self.alive.clear();
+        self.alive.resize(self.lanes.len(), true);
+        self.run_masked(program, None, tracer)
             .map(|outcome| outcome.stats)
     }
 
-    /// The broadcast loop with a lane-alive mask and optional fault plan.
-    /// Control flow follows the first alive lane; a stalled lane stalls the
-    /// whole lockstep broadcast for the cycle; exceeding the cycle budget
-    /// returns [`MachineError::WatchdogTimeout`] with partial statistics.
+    /// The lockstep kernel: the broadcast loop over the lanes that
+    /// `self.alive` marks, with an optional fault plan.  Control flow
+    /// follows the first alive lane.  Under a plan, broadcast `k` first
+    /// waits out the stall run [`StallRuns::run`] draws for it — one
+    /// stalled cycle holds back the whole broadcast — and every cycle,
+    /// stalled or issuing, takes one bit-flip roll.  Exceeding the cycle
+    /// budget returns [`MachineError::WatchdogTimeout`] with partial
+    /// statistics; the cancellation flag is polled once per broadcast
+    /// and at least every [`QUANTUM`] cycles of a stall run.
     fn run_masked<T: Tracer>(
         &mut self,
         program: &Program,
-        alive: &[bool],
         mut faults: Option<&mut FaultPlan>,
         tracer: &mut T,
     ) -> Result<RunOutcome, MachineError> {
         let mut stats = Stats::default();
         let mut pc = 0usize;
         let n = self.lanes.len();
-        let ctrl =
-            alive
-                .iter()
-                .position(|&a| a)
-                .ok_or_else(|| MachineError::DegradationImpossible {
-                    machine: format!("{} array machine", self.subtype.class_name()),
-                    reason: "every lane has failed".to_owned(),
-                })?;
-        // The live-lane set is static for the whole run, so the lockstep
-        // loops iterate it directly instead of re-testing `alive` per
-        // lane per cycle.  Ascending order keeps the broadcast order —
-        // and the stall roll's short-circuit order — identical to the
-        // dense mask scan.
-        let live_lanes: Vec<usize> = (0..n).filter(|&l| alive[l]).collect();
-        let live = live_lanes.len() as u64;
-        let base: Vec<(u64, u64, u64)> = self.lanes.iter().map(|l| l.counters()).collect();
+        // The live-lane set is static for the whole run, so the kernel
+        // iterates it directly instead of re-testing `alive` per lane.
+        self.live.clear();
+        self.live.extend((0..n).filter(|&l| self.alive[l]));
+        let Some(&ctrl) = self.live.first() else {
+            return Err(MachineError::DegradationImpossible {
+                machine: format!("{} array machine", self.subtype.class_name()),
+                reason: "every lane has failed".to_owned(),
+            });
+        };
+        let live = self.live.len() as u64;
+        self.base.clear();
+        self.base
+            .extend(self.lanes.iter().map(DataProcessor::counters));
+        let runs = faults
+            .as_deref()
+            .map_or(StallRuns::Never, |plan| plan.stall_runs(self.live.len()));
+        // Stall cycles run one by one only when something happens on
+        // them: a bit-flip roll or a trace event.
+        let per_cycle = tracer.enabled()
+            || faults
+                .as_deref()
+                .is_some_and(FaultPlan::has_per_cycle_rolls);
         let budget = RunBudget::resolve(self.cycle_limit, &self.cancel);
+        let limit = budget.limit();
         tracer.span_enter(0, Phase::Run);
         tracer.span_enter(0, Phase::Decode);
         tracer.span_exit(0);
@@ -239,28 +267,47 @@ impl ArrayMachine {
             if self.cancel.flag_raised() {
                 return Err(flag_trip(stats.cycles, stats, tracer));
             }
-            if stats.cycles >= budget.limit() {
+            if stats.cycles >= limit {
                 return Err(budget.trip(stats.cycles, stats, tracer));
             }
             let Some(instr) = program.fetch(pc) else {
                 break;
             };
-            stats.cycles += 1;
             if let Some(plan) = faults.as_deref_mut() {
+                // Every cycle so far either stalled or issued a broadcast.
+                let mut run = runs.run(stats.cycles - stats.stalls);
+                while run > 0 {
+                    let chunk = run.min(QUANTUM).min(limit - stats.cycles);
+                    if per_cycle {
+                        for _ in 0..chunk {
+                            stats.cycles += 1;
+                            if plan.maybe_flip_memory(&mut self.mem) {
+                                tracer.record(
+                                    stats.cycles,
+                                    EventKind::FaultInjected(FaultKind::BitFlip),
+                                );
+                            }
+                            tracer.record(stats.cycles, EventKind::Stall);
+                        }
+                    } else {
+                        stats.cycles += chunk;
+                    }
+                    stats.stalls += chunk;
+                    plan.charge_stalls(chunk);
+                    run -= chunk;
+                    if self.cancel.flag_raised() {
+                        return Err(flag_trip(stats.cycles, stats, tracer));
+                    }
+                    if stats.cycles >= limit {
+                        return Err(budget.trip(stats.cycles, stats, tracer));
+                    }
+                }
+                stats.cycles += 1;
                 if plan.maybe_flip_memory(&mut self.mem) {
                     tracer.record(stats.cycles, EventKind::FaultInjected(FaultKind::BitFlip));
                 }
-                // Lockstep SIMD: one stalled lane holds back the broadcast.
-                let stalled = if self.dense_reference {
-                    (0..n).any(|l| alive[l] && plan.dp_stalled(stats.cycles, l))
-                } else {
-                    live_lanes.iter().any(|&l| plan.dp_stalled(stats.cycles, l))
-                };
-                if stalled {
-                    stats.stalls += 1;
-                    tracer.record(stats.cycles, EventKind::Stall);
-                    continue;
-                }
+            } else {
+                stats.cycles += 1;
             }
             match instr {
                 Instr::Send(..) | Instr::Recv(..) => {
@@ -274,8 +321,9 @@ impl ArrayMachine {
                     let fabric = self.subtype.lane_fabric();
                     // SIMD semantics: every lane reads the *pre-instruction*
                     // value of its source lane's register.
-                    let snapshot: Vec<Word> = self.lanes.iter().map(|l| l.reg(rs)).collect();
-                    for &lane in &live_lanes {
+                    self.snapshot.clear();
+                    self.snapshot.extend(self.lanes.iter().map(|l| l.reg(rs)));
+                    for &lane in &self.live {
                         let src = self.lanes[lane].reg(lane_reg);
                         if src < 0 || src as usize >= n {
                             return Err(MachineError::RouteDenied {
@@ -297,7 +345,7 @@ impl ArrayMachine {
                             );
                             tracer.record(stats.cycles, EventKind::CrossbarTraversal);
                         }
-                        self.lanes[lane].set_reg(rd, snapshot[src]);
+                        self.lanes[lane].set_reg(rd, self.snapshot[src]);
                     }
                     stats.instructions += live;
                     tracer.record_many(stats.cycles, EventKind::Issue, live);
@@ -319,16 +367,26 @@ impl ArrayMachine {
                     }
                 }
                 _ => {
-                    for &lane in &live_lanes {
-                        match self.lanes[lane].execute_traced(
+                    if self.dense_reference {
+                        for lane in 0..n {
+                            if self.alive[lane] {
+                                self.lanes[lane].execute_traced(
+                                    instr,
+                                    &mut self.mem,
+                                    stats.cycles,
+                                    tracer,
+                                )?;
+                            }
+                        }
+                    } else {
+                        broadcast(
+                            &mut self.lanes,
+                            &self.live,
                             instr,
                             &mut self.mem,
                             stats.cycles,
                             tracer,
-                        )? {
-                            LocalOutcome::Next => {}
-                            other => unreachable!("non-control instr produced {other:?}"),
-                        }
+                        )?;
                     }
                     stats.instructions += live;
                     tracer.record_many(stats.cycles, EventKind::Issue, live);
@@ -340,11 +398,11 @@ impl ArrayMachine {
         tracer.span_exit(stats.cycles);
         for (lane, dp) in self.lanes.iter().enumerate() {
             let (alu, mr, mw) = dp.counters();
-            let (b_alu, b_mr, b_mw) = base[lane];
+            let (b_alu, b_mr, b_mw) = self.base[lane];
             stats.alu_ops += alu - b_alu;
             stats.mem_reads += mr - b_mr;
             stats.mem_writes += mw - b_mw;
-            if tracer.enabled() && alive[lane] {
+            if tracer.enabled() && self.alive[lane] {
                 tracer.sample("dp.alu_ops", alu - b_alu);
                 tracer.sample("dp.mem_ops", (mr - b_mr) + (mw - b_mw));
             }
@@ -375,9 +433,10 @@ impl ArrayMachine {
         mut plan: FaultPlan,
     ) -> Result<RunOutcome, MachineError> {
         let n = self.lanes.len();
-        let alive: Vec<bool> = (0..n).map(|i| !plan.dp_failed(i)).collect();
-        let failed: Vec<usize> = (0..n).filter(|&i| plan.dp_failed(i)).collect();
-        if !failed.is_empty() && self.subtype.data_topology() == DataTopology::PrivateBanks {
+        self.alive.clear();
+        self.alive.extend((0..n).map(|i| !plan.dp_failed(i)));
+        let failed = self.alive.iter().filter(|&&a| !a).count();
+        if failed > 0 && self.subtype.data_topology() == DataTopology::PrivateBanks {
             return Err(MachineError::DegradationImpossible {
                 machine: format!("{} array machine", self.subtype.class_name()),
                 reason: "DP-DM is a direct switch: a failed lane's private bank is \
@@ -386,14 +445,16 @@ impl ArrayMachine {
             });
         }
         let mut fork = plan.fork();
-        let mut outcome = self.run_masked(program, &alive, Some(&mut fork), &mut NullTracer)?;
-        outcome.faults_injected += failed.len() as u64;
-        if failed.is_empty() {
+        let mut outcome = self.run_masked(program, Some(&mut fork), &mut NullTracer)?;
+        outcome.faults_injected += failed as u64;
+        if failed == 0 {
             return Ok(outcome);
         }
-        for &f in &failed {
-            let replay = self.replay_lane(program, f)?;
-            outcome.stats = outcome.stats.accumulate_sequential(replay);
+        for f in 0..n {
+            if !self.alive[f] {
+                let replay = self.replay_lane(program, f)?;
+                outcome.stats = outcome.stats.accumulate_sequential(replay);
+            }
         }
         outcome.degraded = true;
         Ok(outcome)

@@ -3,15 +3,18 @@
 //!
 //! The local ISA's semantics are written once, in one `#[inline(always)]`
 //! step that decodes and executes an instruction in a single `match`.
-//! Two callers share it:
+//! Three callers share it:
 //!
 //! * [`DataProcessor::run_burst`], the one interpreter loop over local
 //!   instructions: the uni-processor runs on it alone, and the MIMD
 //!   machine runs every core on it when the cores cannot observe each
 //!   other (DESIGN.md §9, temporal decoupling);
+//! * `broadcast`, the array's lockstep kernel: one instruction decoded
+//!   once and executed on every live lane;
 //! * [`DataProcessor::execute_local`] / [`DataProcessor::execute_traced`],
-//!   one instruction at a time, for the lockstep, dense, event, spatial,
-//!   VLIW and replay loops that interleave processors cycle by cycle.
+//!   one instruction at a time, for the dense, event, spatial, VLIW and
+//!   replay loops that interleave processors cycle by cycle, and for the
+//!   array's dense reference.
 //!
 //! Tracer events come from the step's arms, so traced and untraced runs
 //! execute the same code and [`NullTracer`] compiles the events away.
@@ -195,6 +198,54 @@ fn step<T: Tracer, const FETCHED: bool>(
         tracer.record(cycle, EventKind::Issue);
     }
     Err(error)
+}
+
+/// Execute one broadcast local instruction on every lane in `live`, in
+/// that order, with the opcode decoded once: each arm hands [`step`] an
+/// instruction whose variant is a constant, so the inlined step folds to
+/// that opcode's body and the loop over the lanes carries no decode.
+/// The first lane whose memory access fails stops the broadcast with its
+/// error; lanes before it have executed.  The caller records `Issue`.
+#[inline]
+pub(crate) fn broadcast<T: Tracer>(
+    lanes: &mut [DataProcessor],
+    live: &[usize],
+    instr: Instr,
+    mem: &mut BankedMemory,
+    cycle: u64,
+    tracer: &mut T,
+) -> Result<(), MachineError> {
+    macro_rules! each {
+        ($instr:expr) => {{
+            for &lane in live {
+                let dp = &mut lanes[lane];
+                step::<T, false>(
+                    &mut dp.regs,
+                    &mut dp.ops,
+                    dp.lane,
+                    $instr,
+                    mem,
+                    cycle,
+                    tracer,
+                )?;
+            }
+            Ok(())
+        }};
+    }
+    match instr {
+        Instr::MovI(rd, imm) => each!(Instr::MovI(rd, imm)),
+        Instr::Mov(rd, rs) => each!(Instr::Mov(rd, rs)),
+        Instr::Add(rd, a, b) => each!(Instr::Add(rd, a, b)),
+        Instr::Sub(rd, a, b) => each!(Instr::Sub(rd, a, b)),
+        Instr::Mul(rd, a, b) => each!(Instr::Mul(rd, a, b)),
+        Instr::Min(rd, a, b) => each!(Instr::Min(rd, a, b)),
+        Instr::Max(rd, a, b) => each!(Instr::Max(rd, a, b)),
+        Instr::AddI(rd, rs, imm) => each!(Instr::AddI(rd, rs, imm)),
+        Instr::Load(rd, rs) => each!(Instr::Load(rd, rs)),
+        Instr::Store(ra, rs) => each!(Instr::Store(ra, rs)),
+        Instr::LaneId(rd) => each!(Instr::LaneId(rd)),
+        other => each!(other),
+    }
 }
 
 #[inline(always)]

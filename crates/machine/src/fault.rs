@@ -227,6 +227,47 @@ impl FaultPlan {
         }
     }
 
+    /// The stall law of a lockstep broadcast over `live` lanes: the
+    /// sampler of how many cycles each broadcast waits before it issues.
+    ///
+    /// A lockstep cycle stalls when any live lane stalls, each lane
+    /// independently with this plan's stall rate `p`, so a broadcast
+    /// issues on a cycle with probability `q = (1 − p)^live` and the
+    /// stalled cycles in front of it are geometric with that `q`.  The
+    /// sampler draws the whole run at once instead of rolling every lane
+    /// on every cycle (DESIGN.md §7).  A plan with no stall rate draws
+    /// nothing; a rate of 1 stalls every broadcast forever.
+    pub fn stall_runs(&self, live: usize) -> StallRuns {
+        if self.stall_threshold == 0 {
+            return StallRuns::Never;
+        }
+        let p = self.stall_threshold as f64 / UNIT as f64;
+        // ln(1 − q) with ln q = live · ln(1 − p), through ln1p and expm1
+        // so that neither a q near 0 nor a q near 1 loses its precision.
+        let ln_issue = live as f64 * (-p).ln_1p();
+        let ln_stall = if ln_issue < -std::f64::consts::LN_2 {
+            (-ln_issue.exp()).ln_1p()
+        } else {
+            (-ln_issue.exp_m1()).ln()
+        };
+        if ln_stall < 0.0 {
+            StallRuns::Geometric {
+                seed: self.stall_seed,
+                ln_stall,
+            }
+        } else {
+            // q rounded to 0: no broadcast ever issues.
+            StallRuns::Forever
+        }
+    }
+
+    /// Count `cycles` lockstep stall cycles a [`StallRuns`] run charged:
+    /// each is one injected fault, as when a lane roll fired.
+    #[inline]
+    pub fn charge_stalls(&mut self, cycles: u64) {
+        self.injected += cycles;
+    }
+
     /// Roll for a transient memory bit-flip this cycle: `(bank_choice,
     /// addr_choice, bit)` as raw draws for the caller to reduce modulo its
     /// own geometry.
@@ -310,6 +351,46 @@ fn stall_hash(seed: u64, cycle: u64, dp: usize) -> u64 {
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
     x >> 11
+}
+
+/// The lane tag the broadcast stall draw hashes in place of a processor
+/// index, so it never coincides with a per-processor `dp_stalled` draw.
+const BROADCAST_TAG: usize = usize::MAX;
+
+/// The stalled-cycle runs of a lockstep broadcast stream
+/// ([`FaultPlan::stall_runs`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StallRuns {
+    /// No stall rate: every broadcast issues at once.
+    Never,
+    /// Every broadcast stalls until a budget stops the run.
+    Forever,
+    /// Geometric runs: broadcast `k` waits `floor(ln u / ln(1 − q))`
+    /// cycles, `u` in (0, 1) hashed from `(seed, k)`.
+    Geometric {
+        /// The plan's construction seed.
+        seed: u64,
+        /// `ln(1 − q)`, strictly negative.
+        ln_stall: f64,
+    },
+}
+
+impl StallRuns {
+    /// The stalled cycles in front of broadcast `k` (0-based): a pure
+    /// function of the plan's seed and `k`, `u64::MAX` for a run that
+    /// never ends.  `P(run ≥ s) = (1 − q)^s` for every `s`.
+    #[inline]
+    pub fn run(&self, k: u64) -> u64 {
+        match *self {
+            StallRuns::Never => 0,
+            StallRuns::Forever => u64::MAX,
+            StallRuns::Geometric { seed, ln_stall } => {
+                let u = (stall_hash(seed, k, BROADCAST_TAG) as f64 + 0.5) / UNIT as f64;
+                // `as` floors the non-negative quotient.
+                (u.ln() / ln_stall) as u64
+            }
+        }
+    }
 }
 
 /// Per-core retry state for bounded exponential backoff on denied routes.
@@ -586,6 +667,102 @@ mod tests {
         assert_eq!(threshold(f64::NAN), 0);
         assert_eq!(threshold(1.0), UNIT);
         assert_eq!(threshold(-3.0), 0);
+    }
+
+    /// Share of broadcasts that issue at once and mean stall run, with
+    /// their standard errors, over `n` runs drawn by `next`.
+    fn run_stats(n: u64, mut next: impl FnMut() -> u64) -> (f64, f64) {
+        let (mut zero, mut sum) = (0u64, 0f64);
+        for _ in 0..n {
+            let run = next();
+            zero += u64::from(run == 0);
+            sum += run as f64;
+        }
+        (zero as f64 / n as f64, sum / n as f64)
+    }
+
+    #[test]
+    fn broadcast_stall_runs_follow_the_lockstep_law() {
+        // Within 5 standard errors (plus the f64 floor), over 10^5
+        // broadcasts per rate and live-lane count: the share of
+        // broadcasts that issue at once estimates q = (1 − p)^L' and the
+        // mean run (1 − q) / q.  The old rule — one hashed roll per lane
+        // per cycle, stalling the cycle when any lane stalls — is
+        // replayed over up to 10^5 broadcasts or 2·10^6 cycles and must
+        // agree with the same law.
+        const N: u64 = 100_000;
+        for p in [1e-6f64, 0.01, 0.1, 0.3, 0.5, 0.9] {
+            for live in [1usize, 4, 16] {
+                let label = format!("p {p}, {live} live lanes");
+                let q = (1.0 - p).powi(live as i32);
+                let mean = (1.0 - q) / q;
+                let share_tol = |n: u64| 5.0 * (q * (1.0 - q) / n as f64).sqrt() + 1e-12;
+                let mean_tol = |n: u64| 5.0 * ((1.0 - q) / n as f64).sqrt() / q + 1e-9 * mean;
+                let plan = FaultPlan::seeded(live as u64 ^ p.to_bits()).stall_dps(p);
+                let runs = plan.stall_runs(live);
+                let mut k = 0;
+                let (share, got) = run_stats(N, || {
+                    k += 1;
+                    runs.run(k - 1)
+                });
+                assert!((share - q).abs() <= share_tol(N), "{label}: share {share}");
+                assert!((got - mean).abs() <= mean_tol(N), "{label}: mean {got}");
+
+                let mut old = plan.clone();
+                let (mut cycle, mut issued, mut stalled) = (0u64, 0u64, 0u64);
+                let mut no_stall = 0u64;
+                'old: while issued < N {
+                    let mut run = 0;
+                    loop {
+                        if cycle == 2_000_000 {
+                            break 'old;
+                        }
+                        cycle += 1;
+                        if !(0..live).any(|lane| old.dp_stalled(cycle, lane)) {
+                            break;
+                        }
+                        run += 1;
+                    }
+                    stalled += run;
+                    issued += 1;
+                    no_stall += u64::from(run == 0);
+                }
+                if issued >= 1_000 {
+                    let share = no_stall as f64 / issued as f64;
+                    let got = stalled as f64 / issued as f64;
+                    assert!(
+                        (share - q).abs() <= share_tol(issued),
+                        "{label}: old rule share {share}"
+                    );
+                    assert!(
+                        (got - mean).abs() <= mean_tol(issued),
+                        "{label}: old rule mean {got}"
+                    );
+                } else {
+                    // Too few broadcasts issue: compare the per-cycle
+                    // issue rate with q instead.
+                    let rate = issued as f64 / cycle as f64;
+                    let tol = 5.0 * (q * (1.0 - q) / cycle as f64).sqrt() + 1e-12;
+                    assert!((rate - q).abs() <= tol, "{label}: old rule rate {rate}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stall_runs_at_the_extremes() {
+        assert_eq!(FaultPlan::seeded(1).stall_runs(16), StallRuns::Never);
+        assert_eq!(
+            FaultPlan::seeded(1).stall_dps(1.0).stall_runs(1),
+            StallRuns::Forever
+        );
+        assert_eq!(StallRuns::Forever.run(0), u64::MAX);
+        // The sampler is a pure function of (seed, k).
+        let a = FaultPlan::seeded(5).stall_dps(0.3).stall_runs(4);
+        let mut forked = FaultPlan::seeded(5).stall_dps(0.3);
+        let b = forked.fork().stall_runs(4);
+        assert!((0..1_000).all(|k| a.run(k) == b.run(k)));
+        assert!((0..1_000).any(|k| a.run(k) > 0));
     }
 
     #[test]

@@ -95,15 +95,20 @@ impl FabricTopology {
 /// silent message drops and payload corruption; the owning machine advances
 /// the plan's notion of time with [`Mailboxes::set_cycle`].
 ///
-/// The `n * n` channel table is built by the first message that needs it
-/// (a `send` or `deposit`); until then every channel reads as empty, so a
-/// machine that never sends pays nothing for its fabric.
+/// Only the channels a run uses are stored: a channel is created by the
+/// first message that needs it (a `send` or `deposit`) and every other
+/// channel reads as empty, so a machine pays for the channels its
+/// programs use — a ring of `n` cores for `n` of them — and a machine
+/// that never sends pays nothing for its fabric.
 #[derive(Debug, Clone)]
 pub struct Mailboxes {
     n: usize,
     topology: FabricTopology,
-    queues: Vec<VecDeque<Word>>, // indexed from * n + to; empty until first use
-    non_empty: usize,            // channels with at least one queued message
+    /// Channel keys `from * n + to` of the channels used so far, ascending;
+    /// `queues[i]` is the FIFO of channel `keys[i]`.
+    keys: Vec<usize>,
+    queues: Vec<VecDeque<Word>>,
+    non_empty: usize, // channels with at least one queued message
     delivered: u64,
     faults: Option<FaultPlan>,
     cycle: u64,
@@ -115,6 +120,7 @@ impl Mailboxes {
         Mailboxes {
             n,
             topology,
+            keys: Vec::new(),
             queues: Vec::new(),
             non_empty: 0,
             delivered: 0,
@@ -178,21 +184,33 @@ impl Mailboxes {
         Ok(())
     }
 
-    /// The channel `from -> to`, building the table on first use.
+    /// The slot of channel `from -> to`, if it has been used.
+    #[inline]
+    fn slot(&self, from: usize, to: usize) -> Result<usize, usize> {
+        self.keys.binary_search(&(from * self.n + to))
+    }
+
+    /// The channel `from -> to`, creating it on first use.
     fn channel_mut(&mut self, from: usize, to: usize) -> &mut VecDeque<Word> {
-        if self.queues.is_empty() {
-            self.queues = vec![VecDeque::new(); self.n * self.n];
-        }
-        &mut self.queues[from * self.n + to]
+        let at = match self.slot(from, to) {
+            Ok(at) => at,
+            Err(at) => {
+                self.keys.insert(at, from * self.n + to);
+                self.queues.insert(at, VecDeque::new());
+                at
+            }
+        };
+        &mut self.queues[at]
     }
 
     /// Receive at `to` from `from`: `Ok(None)` means the route is legal but
     /// no value has arrived yet (the caller stalls).
     pub fn recv(&mut self, to: usize, from: usize) -> Result<Option<Word>, MachineError> {
         self.topology.route(from, to, self.n)?;
-        let Some(queue) = self.queues.get_mut(from * self.n + to) else {
+        let Ok(at) = self.slot(from, to) else {
             return Ok(None);
         };
+        let queue = &mut self.queues[at];
         let v = queue.pop_front();
         if v.is_some() {
             self.delivered += 1;
@@ -224,14 +242,12 @@ impl Mailboxes {
         if self.non_empty == 0 {
             return child;
         }
-        for from in 0..self.n {
-            for to in to_range.clone() {
-                let idx = from * self.n + to;
-                if !self.queues[idx].is_empty() {
-                    self.non_empty -= 1;
-                    child.non_empty += 1;
-                    std::mem::swap(&mut self.queues[idx], child.channel_mut(from, to));
-                }
+        for (&key, queue) in self.keys.iter().zip(&mut self.queues) {
+            let (from, to) = (key / self.n, key % self.n);
+            if to_range.contains(&to) && !queue.is_empty() {
+                self.non_empty -= 1;
+                child.non_empty += 1;
+                std::mem::swap(queue, child.channel_mut(from, to));
             }
         }
         child
@@ -241,14 +257,15 @@ impl Mailboxes {
     /// and accumulate its delivery count (fault-injection counts are read
     /// separately via [`Mailboxes::faults_injected`] before absorbing).
     pub fn absorb(&mut self, child: Mailboxes) {
-        for (idx, queue) in child.queues.into_iter().enumerate() {
+        for (key, queue) in child.keys.into_iter().zip(child.queues) {
             if queue.is_empty() {
                 continue;
             }
-            if self.channel_mut(idx / self.n, idx % self.n).is_empty() {
-                self.non_empty += 1;
-            }
-            self.queues[idx].extend(queue);
+            let n = self.n;
+            let channel = self.channel_mut(key / n, key % n);
+            let was_empty = channel.is_empty();
+            channel.extend(queue);
+            self.non_empty += usize::from(was_empty);
         }
         self.delivered += child.delivered;
     }
@@ -295,9 +312,8 @@ impl Mailboxes {
 
     /// Is at least one message queued on the `from -> to` channel?
     pub fn has_pending(&self, to: usize, from: usize) -> bool {
-        self.queues
-            .get(from * self.n + to)
-            .is_some_and(|q| !q.is_empty())
+        self.slot(from, to)
+            .is_ok_and(|at| !self.queues[at].is_empty())
     }
 
     /// Are any messages still in flight?  O(1): the non-empty-channel

@@ -67,6 +67,7 @@ pub enum Instr {
 impl Instr {
     /// Is this a control-flow instruction (handled by the IP rather than
     /// the DP)?
+    #[inline]
     pub fn is_control(&self) -> bool {
         matches!(
             self,

@@ -38,13 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// Unsafe code is forbidden everywhere except the feature-gated wide
-// lane kernels in `fleet::kernel::wide`, which need `std::arch`
-// intrinsics behind runtime CPU detection.  Without `--features simd`
-// the historical crate-wide forbid is back in force; with it, the lint
-// is `deny` so only that module's scoped `allow` may opt in.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 
 pub mod array;
 pub mod cancel;
@@ -54,7 +48,6 @@ pub mod energy;
 pub mod error;
 pub mod exec;
 pub mod fault;
-pub mod fleet;
 pub mod interconnect;
 pub mod isa;
 pub mod mem;

@@ -48,6 +48,7 @@ impl MemoryBank {
     }
 
     /// Read a word.
+    #[inline]
     pub fn read(&mut self, addr: usize) -> Option<Word> {
         let v = self.words.get(addr).copied();
         if v.is_some() {
@@ -57,6 +58,7 @@ impl MemoryBank {
     }
 
     /// Write a word.
+    #[inline]
     pub fn write(&mut self, addr: usize, value: Word) -> bool {
         if let Some(slot) = self.words.get_mut(addr) {
             *slot = value;
@@ -171,6 +173,7 @@ impl BankedMemory {
 
     /// Resolve which bank + offset a `(lane, address)` pair touches, or an
     /// error if the topology forbids it.
+    #[inline]
     fn resolve(&self, lane: usize, address: Word) -> Result<(usize, usize), MachineError> {
         if address < 0 {
             return Err(MachineError::MemoryOutOfBounds {
@@ -213,6 +216,7 @@ impl BankedMemory {
     }
 
     /// Load a word as seen by `lane`.
+    #[inline]
     pub fn read(&mut self, lane: usize, address: Word) -> Result<Word, MachineError> {
         let (bank, offset) = self.resolve(lane, address)?;
         self.banks[bank]
@@ -225,6 +229,7 @@ impl BankedMemory {
     }
 
     /// Store a word as seen by `lane`.
+    #[inline]
     pub fn write(&mut self, lane: usize, address: Word, value: Word) -> Result<(), MachineError> {
         let (bank, offset) = self.resolve(lane, address)?;
         if self.banks[bank].write(offset, value) {

@@ -47,6 +47,7 @@ impl Program {
     }
 
     /// Instruction at `pc`, if in range.
+    #[inline]
     pub fn fetch(&self, pc: usize) -> Option<Instr> {
         self.instrs.get(pc).copied()
     }

@@ -12,7 +12,6 @@ use crate::dataflow::{graph::library, DataflowMachine, DataflowSubtype, Placemen
 use crate::error::MachineError;
 use crate::exec::Stats;
 use crate::fault::{FaultPlan, LinkOutage};
-use crate::fleet::FleetExec;
 use crate::interconnect::FabricTopology;
 use crate::isa::{Instr, Word};
 use crate::multi::{MultiMachine, MultiSubtype};
@@ -1002,15 +1001,8 @@ pub fn run_fabric_counters_traced<T: Tracer>(
 }
 
 // ---------------------------------------------------------------------------
-// Fleet workloads: N lockstep instances of the same architecture.
-//
-// Each runner below takes a [`FleetExec`]: `Sequential` runs the N
-// instances one by one on the dense reference machines,
-// `Fleet(kernels)` routes them through the structure-of-arrays
-// executors in [`crate::fleet`] with the chosen batched lane kernels.
-// All paths are bit-identical in per-instance `Stats`, telemetry class
-// totals, and errors (DESIGN.md §14); `tests/fleet_identity.rs` and the
-// `*/fleet` + `*/fleet_simd` bench twins hold them to it.
+// Swarm workloads: N instances of the same architecture, run one after
+// another on one machine that `reset` scrubs between instances.
 // ---------------------------------------------------------------------------
 
 /// The swarm spin kernel: count to a per-instance bound read from memory
@@ -1035,12 +1027,8 @@ fn swarm_spin_bound(base_iters: Word, i: usize) -> Word {
 /// A parameter sweep of `instances` uni-processors, each counting to its
 /// own bound around `base_iters`.  Returns the sequentially accumulated
 /// [`Stats`] over all instances.
-pub fn run_spin_swarm_uni(
-    instances: usize,
-    base_iters: Word,
-    exec: FleetExec,
-) -> Result<Stats, MachineError> {
-    run_spin_swarm_uni_traced(instances, base_iters, exec, &mut NullTracer)
+pub fn run_spin_swarm_uni(instances: usize, base_iters: Word) -> Result<Stats, MachineError> {
+    run_spin_swarm_uni_traced(instances, base_iters, &mut NullTracer)
 }
 
 /// [`run_spin_swarm_uni`] with observation hooks — the counter-capture
@@ -1048,7 +1036,6 @@ pub fn run_spin_swarm_uni(
 pub fn run_spin_swarm_uni_traced<T: Tracer>(
     instances: usize,
     base_iters: Word,
-    exec: FleetExec,
     tracer: &mut T,
 ) -> Result<Stats, MachineError> {
     if instances == 0 {
@@ -1056,47 +1043,33 @@ pub fn run_spin_swarm_uni_traced<T: Tracer>(
     }
     let program = swarm_spin_program();
     let mut total = Stats::default();
-    match exec {
-        FleetExec::Fleet(kernels) => {
-            let mut swarm = crate::fleet::UniFleet::new(instances, 2).with_kernels(kernels);
-            for i in 0..instances {
-                swarm.write_mem(i, 0, swarm_spin_bound(base_iters, i));
-            }
-            for result in swarm.run_traced(&program, tracer) {
-                total = total.accumulate_sequential(result?);
-            }
-        }
-        FleetExec::Sequential => {
-            for i in 0..instances {
-                let mut machine = UniProcessor::new(2);
-                machine
-                    .memory_mut()
-                    .bank_mut(0)
-                    .load(&[swarm_spin_bound(base_iters, i)]);
-                total = total.accumulate_sequential(machine.run_traced(&program, tracer)?);
-            }
-        }
+    for i in 0..instances {
+        let mut machine = UniProcessor::new(2);
+        machine
+            .memory_mut()
+            .bank_mut(0)
+            .load(&[swarm_spin_bound(base_iters, i)]);
+        total = total.accumulate_sequential(machine.run_traced(&program, tracer)?);
     }
     Ok(total)
 }
 
 /// Per-instance input element for instance `i`, lane `lane` of the
-/// vector-add swarm (deterministic, distinct across the fleet).
+/// vector-add swarm (deterministic, distinct across the swarm).
 fn swarm_vector_inputs(i: usize, lane: usize) -> (Word, Word) {
     ((i * 31 + lane * 7) as Word, (i * 13 + lane * 3 + 1) as Word)
 }
 
 /// A swarm of `instances` array machines (each `lanes`×4-word banks)
-/// running the vector-add kernel over per-instance data.  Outputs are
-/// verified against the reference before returning the accumulated
-/// [`Stats`].
+/// running the vector-add kernel over per-instance data, one after
+/// another on one reset machine.  Outputs are verified against the
+/// reference before returning the accumulated [`Stats`].
 pub fn run_vector_add_swarm_array(
     subtype: ArraySubtype,
     instances: usize,
     lanes: usize,
-    exec: FleetExec,
 ) -> Result<Stats, MachineError> {
-    run_vector_add_swarm_array_traced(subtype, instances, lanes, exec, &mut NullTracer)
+    run_vector_add_swarm_array_traced(subtype, instances, lanes, &mut NullTracer)
 }
 
 /// [`run_vector_add_swarm_array`] with observation hooks — the
@@ -1106,7 +1079,6 @@ pub fn run_vector_add_swarm_array_traced<T: Tracer>(
     subtype: ArraySubtype,
     instances: usize,
     lanes: usize,
-    exec: FleetExec,
     tracer: &mut T,
 ) -> Result<Stats, MachineError> {
     if instances == 0 || lanes == 0 {
@@ -1133,67 +1105,40 @@ pub fn run_vector_add_swarm_array_traced<T: Tracer>(
             asm.assemble()?
         }
     };
-    let check = |i: usize, lane: usize, got: Word| -> Result<(), MachineError> {
-        let (x, y) = swarm_vector_inputs(i, lane);
-        if got != x.wrapping_add(y) {
-            return Err(MachineError::config(format!(
-                "swarm instance {i} lane {lane}: got {got}, want {}",
-                x.wrapping_add(y)
-            )));
-        }
-        Ok(())
-    };
     let mut total = Stats::default();
-    match exec {
-        FleetExec::Fleet(kernels) => {
-            let mut swarm =
-                crate::fleet::ArrayFleet::new(subtype, lanes, 4, instances).with_kernels(kernels);
-            for i in 0..instances {
-                for lane in 0..lanes {
-                    let (x, y) = swarm_vector_inputs(i, lane);
-                    swarm.load_bank(i, lane, &[x, y, 0, 0]);
-                }
-            }
-            for (i, result) in swarm.run_traced(&program, tracer).into_iter().enumerate() {
-                total = total.accumulate_sequential(result?);
-                for lane in 0..lanes {
-                    check(i, lane, swarm.mem_word(i, lane * 4 + 2))?;
-                }
-            }
+    let mut machine = ArrayMachine::new(subtype, lanes, 4);
+    for i in 0..instances {
+        machine.reset();
+        for lane in 0..lanes {
+            let (x, y) = swarm_vector_inputs(i, lane);
+            machine.memory_mut().bank_mut(lane).load(&[x, y, 0, 0]);
         }
-        FleetExec::Sequential => {
-            for i in 0..instances {
-                let mut machine = ArrayMachine::new(subtype, lanes, 4);
-                for lane in 0..lanes {
-                    let (x, y) = swarm_vector_inputs(i, lane);
-                    machine.memory_mut().bank_mut(lane).load(&[x, y, 0, 0]);
-                }
-                total = total.accumulate_sequential(machine.run_traced(&program, tracer)?);
-                for lane in 0..lanes {
-                    check(i, lane, machine.memory().bank(lane).contents()[2])?;
-                }
+        total = total.accumulate_sequential(machine.run_traced(&program, tracer)?);
+        for lane in 0..lanes {
+            let (x, y) = swarm_vector_inputs(i, lane);
+            let got = machine.memory().bank(lane).contents()[2];
+            if got != x.wrapping_add(y) {
+                return Err(MachineError::config(format!(
+                    "swarm instance {i} lane {lane}: got {got}, want {}",
+                    x.wrapping_add(y)
+                )));
             }
         }
     }
     Ok(total)
 }
 
-/// A Monte-Carlo transient-fault study: one array-machine instance per
-/// seed, each running the lane-store kernel under its own
-/// [`FaultPlan`] with the given stall and bit-flip rates.  Per-seed
-/// outcomes in seed order; `FleetExec::Fleet` routes the population
-/// through [`crate::fleet::run_array_fleet_chunked`] (sub-fleet chunks
-/// across the `SKILLTAX_FLEET_THREADS` worker resolution),
-/// `Sequential` runs [`ArrayMachine::run_resilient`] per seed on one
-/// machine, [`ArrayMachine::reset`] between seeds — bit-identical
-/// results either way.
+/// A Monte-Carlo transient-fault study: one run per seed of the
+/// lane-store kernel under its own [`FaultPlan`] with the given stall
+/// and bit-flip rates, on one array machine that
+/// [`ArrayMachine::reset`] scrubs between seeds.  Per-seed outcomes in
+/// seed order.
 pub fn run_fault_monte_carlo_array(
     subtype: ArraySubtype,
     lanes: usize,
     seeds: &[u64],
     stall_rate: f64,
     flip_rate: f64,
-    exec: FleetExec,
 ) -> Vec<Result<crate::fault::RunOutcome, MachineError>> {
     let mut asm = Assembler::new();
     asm.emit(Instr::LaneId(0))
@@ -1202,44 +1147,17 @@ pub fn run_fault_monte_carlo_array(
         .emit(Instr::Store(0, 1))
         .emit(Instr::Halt);
     let program = asm.assemble().expect("monte-carlo kernel is well formed");
-    let bank_words = lanes.max(4);
-    let plan_for = |seed: u64| {
-        FaultPlan::seeded(seed)
-            .stall_dps(stall_rate)
-            .flip_memory_bits(flip_rate)
-    };
-    match exec {
-        FleetExec::Fleet(kernels) => {
-            if seeds.is_empty() {
-                return Vec::new();
-            }
-            let chunks = crate::fleet::run_array_fleet_chunked(
-                subtype,
-                lanes,
-                bank_words,
-                seeds.len(),
-                100_000,
-                &crate::cancel::CancelToken::new(),
-                &program,
-                kernels,
-                |_, _, _| {},
-                |g| plan_for(seeds[g]),
-                0,
-            );
-            crate::fleet::array_chunked_outcomes(chunks)
-        }
-        FleetExec::Sequential => {
-            let mut machine =
-                ArrayMachine::new(subtype, lanes, bank_words).with_cycle_limit(100_000);
-            seeds
-                .iter()
-                .map(|&s| {
-                    machine.reset();
-                    machine.run_resilient(&program, plan_for(s))
-                })
-                .collect()
-        }
-    }
+    let mut machine = ArrayMachine::new(subtype, lanes, lanes.max(4)).with_cycle_limit(100_000);
+    seeds
+        .iter()
+        .map(|&seed| {
+            machine.reset();
+            let plan = FaultPlan::seeded(seed)
+                .stall_dps(stall_rate)
+                .flip_memory_bits(flip_rate);
+            machine.run_resilient(&program, plan)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1410,52 +1328,6 @@ mod tests {
             assert_eq!(run.outputs, vec![42], "dense={dense}");
             assert!(run.stats.cycles > 500, "dense={dense}: {:?}", run.stats);
         }
-    }
-
-    #[test]
-    fn spin_swarm_fleet_matches_sequential() {
-        use crate::fleet::LaneKernels;
-        let sequential = run_spin_swarm_uni(24, 50, FleetExec::Sequential).unwrap();
-        for kernels in [LaneKernels::Scalar, LaneKernels::Wide] {
-            let fleet = run_spin_swarm_uni(24, 50, FleetExec::Fleet(kernels)).unwrap();
-            assert_eq!(sequential, fleet, "{kernels:?}");
-        }
-    }
-
-    #[test]
-    fn vector_add_swarm_fleet_matches_sequential() {
-        use crate::fleet::LaneKernels;
-        for subtype in ArraySubtype::ALL {
-            let sequential =
-                run_vector_add_swarm_array(subtype, 12, 4, FleetExec::Sequential).unwrap();
-            for kernels in [LaneKernels::Scalar, LaneKernels::Wide] {
-                let fleet =
-                    run_vector_add_swarm_array(subtype, 12, 4, FleetExec::Fleet(kernels)).unwrap();
-                assert_eq!(sequential, fleet, "{subtype:?} {kernels:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn monte_carlo_fleet_matches_sequential() {
-        let seeds: Vec<u64> = (0..16).map(|s| s * 7 + 1).collect();
-        let sequential = run_fault_monte_carlo_array(
-            ArraySubtype::III,
-            4,
-            &seeds,
-            0.2,
-            0.05,
-            FleetExec::Sequential,
-        );
-        let fleet = run_fault_monte_carlo_array(
-            ArraySubtype::III,
-            4,
-            &seeds,
-            0.2,
-            0.05,
-            FleetExec::fleet(),
-        );
-        assert_eq!(sequential, fleet);
     }
 
     #[test]

@@ -110,6 +110,9 @@ fn multi_stall_storm_outcome_is_pinned() {
     );
 }
 
+/// Re-recorded when the array's lockstep stalls moved from one hashed
+/// roll per lane per cycle to one geometric stall run per broadcast
+/// (DESIGN.md §7): the same stall probabilities, different outcomes.
 #[test]
 fn array_flip_storm_outcome_is_pinned() {
     let mut m = ArrayMachine::new(ArraySubtype::III, 8, 8);
@@ -119,15 +122,15 @@ fn array_flip_storm_outcome_is_pinned() {
         out,
         RunOutcome {
             stats: Stats {
-                cycles: 167,
+                cycles: 233,
                 instructions: 223,
                 alu_ops: 96,
                 mem_reads: 48,
                 mem_writes: 48,
                 messages: 0,
-                stalls: 133,
+                stalls: 199,
             },
-            faults_injected: 181,
+            faults_injected: 265,
             retries: 0,
             degraded: false,
         }
@@ -138,5 +141,5 @@ fn array_flip_storm_outcome_is_pinned() {
             memory = fnv(memory, w as u64);
         }
     }
-    assert_eq!(memory, 0xb4d6_cb72_fba0_5f2e);
+    assert_eq!(memory, 0x4a6c_b25b_300a_c553);
 }

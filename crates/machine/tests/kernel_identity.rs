@@ -5,12 +5,18 @@
 //! the same registers, memory, clock, `Stats`, operation counters, end
 //! kind and error, at every cycle bound and under hashed stalls.
 //!
+//! The array's lockstep kernel, which decodes each broadcast once and
+//! runs the opcode over every live lane, must likewise match a reference
+//! that steps the lanes one by one — fault-free, with bit flips only, and
+//! with the sampled stall runs spent one cycle at a time.
+//!
 //! The reference below is the per-instruction loop the kernel replaced:
 //! before each fetch it asks the fault plan whether the processor stalls
 //! this cycle, a fabric instruction or the end of the program stops it
 //! without a charge, and every executed instruction (a `Halt` and one
 //! whose memory access fails included) costs one cycle and one issue.
 
+use skilltax_machine::array::{ArrayMachine, ArraySubtype};
 use skilltax_machine::dp::{DataProcessor, LocalOutcome};
 use skilltax_machine::mem::{BankedMemory, DataTopology};
 use skilltax_machine::multi::{MultiMachine, MultiSubtype};
@@ -521,6 +527,213 @@ fn shared_bank_runs_match_single_steps() {
         }
     }
     coverage.assert_complete(false);
+}
+
+// -------------------------------------------------------------------------
+// Array (IAP): the opcode-hoisted lockstep kernel
+// -------------------------------------------------------------------------
+
+/// One array run stepped lane by lane: the IP fetches, waits out the
+/// broadcast's stall run one cycle at a time, issues, and executes every
+/// local instruction on each lane in turn through `execute_traced`
+/// (control flow on lane 0).  Every cycle, stalled or issuing, takes one
+/// bit-flip roll.  Returns the outcome, each lane's registers, the memory
+/// and the faults the plan injected.
+fn array_reference<T: Tracer>(
+    subtype: ArraySubtype,
+    lanes: usize,
+    program: &Program,
+    limit: u64,
+    mut plan: Option<FaultPlan>,
+    tracer: &mut T,
+) -> (Result<Stats, MachineError>, Vec<Vec<Word>>, Vec<Word>, u64) {
+    let mut dps: Vec<DataProcessor> = (0..lanes).map(DataProcessor::new).collect();
+    let mut mem = BankedMemory::new(lanes, BANK, subtype.data_topology());
+    let runs = plan.as_ref().map(|p| p.stall_runs(lanes));
+    let mut stats = Stats::default();
+    let (mut pc, mut k) = (0usize, 0u64);
+    let result = 'run: loop {
+        if stats.cycles >= limit {
+            tracer.record(stats.cycles, EventKind::Watchdog);
+            break Err(MachineError::WatchdogTimeout {
+                limit,
+                partial: stats,
+            });
+        }
+        let Some(instr) = program.fetch(pc) else {
+            break Ok(());
+        };
+        let mut run = runs.map_or(0, |r| r.run(k));
+        k += 1;
+        loop {
+            stats.cycles += 1;
+            if let Some(plan) = plan.as_mut() {
+                if plan.maybe_flip_memory(&mut mem) {
+                    tracer.record(stats.cycles, EventKind::FaultInjected(FaultKind::BitFlip));
+                }
+            }
+            if run == 0 {
+                break;
+            }
+            run -= 1;
+            stats.stalls += 1;
+            plan.as_mut().unwrap().charge_stalls(1);
+            tracer.record(stats.cycles, EventKind::Stall);
+            if stats.cycles >= limit {
+                tracer.record(stats.cycles, EventKind::Watchdog);
+                break 'run Err(MachineError::WatchdogTimeout {
+                    limit,
+                    partial: stats,
+                });
+            }
+        }
+        if instr.is_control() {
+            stats.instructions += 1;
+            tracer.record(stats.cycles, EventKind::Issue);
+            match dps[0].execute_traced(instr, &mut mem, stats.cycles, tracer) {
+                Ok(LocalOutcome::Next) => pc += 1,
+                Ok(LocalOutcome::Branch(t)) => pc = t,
+                Ok(LocalOutcome::Halt) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+            continue;
+        }
+        for dp in &mut dps {
+            if let Err(e) = dp.execute_traced(instr, &mut mem, stats.cycles, tracer) {
+                break 'run Err(e);
+            }
+        }
+        stats.instructions += lanes as u64;
+        for _ in 0..lanes {
+            tracer.record(stats.cycles, EventKind::Issue);
+        }
+        pc += 1;
+    };
+    let result = result.map(|()| {
+        for dp in &dps {
+            let (alu, reads, writes) = dp.counters();
+            stats.alu_ops += alu;
+            stats.mem_reads += reads;
+            stats.mem_writes += writes;
+        }
+        stats
+    });
+    let regs = dps
+        .iter()
+        .map(|dp| (0..16).map(|r| dp.reg(r)).collect())
+        .collect();
+    let words = (0..lanes)
+        .flat_map(|b| mem.bank(b).contents().to_vec())
+        .collect();
+    (result, regs, words, plan.map_or(0, |p| p.injected()))
+}
+
+/// Registers and memory of an array machine after a run.
+fn array_state(m: &ArrayMachine, lanes: usize) -> (Vec<Vec<Word>>, Vec<Word>) {
+    let regs = (0..lanes)
+        .map(|lane| (0..16).map(|r| m.lane_reg(lane, r)).collect())
+        .collect();
+    let words = (0..lanes)
+        .flat_map(|b| m.memory().bank(b).contents().to_vec())
+        .collect();
+    (regs, words)
+}
+
+#[test]
+fn array_runs_match_lane_by_lane_steps() {
+    let mut rng = XorShift64::new(0xA77A);
+    let (mut ok, mut errors, mut watchdogs, mut stalled) = (0u32, 0u32, 0u32, 0u64);
+    for case in 0..240u64 {
+        let program = random_program(&mut rng, false);
+        let subtype = [ArraySubtype::I, ArraySubtype::III][case as usize % 2];
+        let lanes = [3, 4][(case / 2) as usize % 2];
+        // Fault-free, bit flips only, and stall runs with bit flips (one
+        // in four of those stalls every broadcast forever).
+        let plan = match case % 3 {
+            0 => None,
+            1 => Some(FaultPlan::seeded(case).flip_memory_bits(0.3)),
+            _ => Some(
+                FaultPlan::seeded(case)
+                    .stall_dps(if case % 4 == 0 { 1.0 } else { 0.3 })
+                    .flip_memory_bits(0.05),
+            ),
+        };
+        let (done, ..) = array_reference(
+            subtype,
+            lanes,
+            &program,
+            4 * Q,
+            plan.as_ref().map(|p| p.clone().fork()),
+            &mut NullTracer,
+        );
+        let finished = !matches!(done, Err(MachineError::WatchdogTimeout { .. }));
+        for limit in limits_for(finished) {
+            let label = format!("array case {case} limit {limit}: {program}");
+            let fresh = || ArrayMachine::new(subtype, lanes, BANK).with_cycle_limit(limit);
+            let mut machine = fresh();
+            let mut want_t = Telemetry::new();
+            let (want, regs, words, _) = match &plan {
+                None => {
+                    let mut got_t = Telemetry::new();
+                    let got = machine.run_traced(&program, &mut got_t);
+                    let want = array_reference(subtype, lanes, &program, limit, None, &mut want_t);
+                    assert_eq!(
+                        got_t.trace.class_counts(),
+                        want_t.trace.class_counts(),
+                        "{label}"
+                    );
+                    assert_eq!(format!("{got:?}"), format!("{:?}", want.0), "{label}");
+                    want
+                }
+                Some(plan) => {
+                    let got = machine.run_resilient(&program, plan.clone());
+                    let want = array_reference(
+                        subtype,
+                        lanes,
+                        &program,
+                        limit,
+                        Some(plan.clone().fork()),
+                        &mut want_t,
+                    );
+                    if let Ok(outcome) = &got {
+                        assert_eq!(outcome.faults_injected, want.3, "{label}");
+                    }
+                    assert_eq!(
+                        format!("{:?}", got.map(|o| o.stats)),
+                        format!("{:?}", want.0),
+                        "{label}"
+                    );
+                    want
+                }
+            };
+            assert_eq!(array_state(&machine, lanes), (regs, words), "{label}");
+            match want {
+                Ok(stats) => {
+                    ok += 1;
+                    stalled += stats.stalls;
+                }
+                Err(MachineError::WatchdogTimeout { partial, .. }) => {
+                    watchdogs += 1;
+                    stalled += partial.stalls;
+                }
+                Err(_) => errors += 1,
+            }
+            // The dense reference (`execute_traced` lane by lane inside
+            // the machine) takes the same runs.
+            let mut dense = fresh().with_dense_reference(true);
+            let twin = match &plan {
+                None => format!("{:?}", dense.run(&program)),
+                Some(plan) => format!("{:?}", dense.run_resilient(&program, plan.clone())),
+            };
+            let mut default = fresh();
+            let run = match &plan {
+                None => format!("{:?}", default.run(&program)),
+                Some(plan) => format!("{:?}", default.run_resilient(&program, plan.clone())),
+            };
+            assert_eq!(twin, run, "{label}: dense reference diverged");
+        }
+    }
+    assert!(ok > 0 && errors > 0 && watchdogs > 0 && stalled > 0);
 }
 
 #[test]

@@ -1,10 +1,11 @@
-//! Construction cost of a machine that cannot send a message.
+//! Allocation cost of the mailboxes.
 //!
-//! IMP-I has no DP–DP switch, so its mailboxes never carry a message.
-//! The `n * n` channel table is therefore built lazily, by the first send:
-//! a 256-core IMP-I with 64-word banks must cost its cores and banks
-//! (~190 KiB), not another 2 MiB of empty queues.  A counting global
-//! allocator measures the bytes `MultiMachine::new` asks for.
+//! IMP-I has no DP–DP switch, so its mailboxes never carry a message: a
+//! 256-core IMP-I with 64-word banks must cost its cores and banks
+//! (~190 KiB), not another 2 MiB of empty queues.  A machine that does
+//! send stores only the channels it uses, so the first send on a
+//! 256-core crossbar costs one channel.  A counting global allocator
+//! measures the bytes each step asks for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +62,19 @@ fn mailboxes_cost_nothing_until_the_first_message() {
     let (bytes, sent) = bytes_during(|| mb.send(3, 7, 1));
     sent.unwrap();
     assert!(
-        bytes >= 256 * 256 * 8,
-        "the first send builds the channel table ({bytes} bytes)"
+        bytes <= 1024,
+        "the first send stores one channel, not the 256 x 256 table ({bytes} bytes)"
     );
+    // A ring's worth of channels costs a ring's worth of bytes, and each
+    // channel keeps its own FIFO order.
+    let (bytes, ()) = bytes_during(|| {
+        for core in 0..256 {
+            mb.send(core, (core + 1) % 256, core as i64).unwrap();
+        }
+    });
+    assert!(bytes < 64 * 1024, "a 256-core ring allocated {bytes} bytes");
+    assert_eq!(mb.recv(7, 3).unwrap(), Some(1));
+    assert_eq!(mb.recv(4, 3).unwrap(), Some(3));
+    assert_eq!(mb.recv(4, 3).unwrap(), None);
+    assert!(mb.any_pending());
 }

@@ -260,16 +260,38 @@ fn array_broadcast_identity() {
 
 #[test]
 fn array_masked_and_stalled_runs_identical() {
-    // A dead lane shrinks the live set; a stall plan draws per-cycle
-    // randomness.  Both must be invariant under the live-lane precompute
-    // (identical RNG draw order via the short-circuiting `any`).
+    // A dead lane shrinks the live set; a stall plan draws one stall run
+    // per broadcast; bit flips roll once per cycle.  The dense reference
+    // steps the lanes one by one over the alive mask and must take the
+    // same runs and the same flip stream as the hoisted kernel.
     let plans = [
-        ("failed lane", FaultPlan::seeded(3).fail_dp(2)),
-        ("stall rolls", FaultPlan::seeded(4).stall_dps(0.3)),
+        (
+            "failed lane",
+            ArraySubtype::III,
+            FaultPlan::seeded(3).fail_dp(2),
+        ),
+        (
+            "stall runs",
+            ArraySubtype::I,
+            FaultPlan::seeded(4).stall_dps(0.3),
+        ),
+        (
+            "stall runs, flips and a failed lane",
+            ArraySubtype::III,
+            FaultPlan::seeded(5)
+                .fail_dp(6)
+                .stall_dps(0.2)
+                .flip_memory_bits(0.3),
+        ),
+        (
+            "stall storm",
+            ArraySubtype::I,
+            FaultPlan::seeded(6).stall_dps(1.0),
+        ),
     ];
-    for (label, plan) in plans {
+    for (label, subtype, plan) in plans {
         let run = |dense: bool| {
-            let mut m = loaded_array(ArraySubtype::I, 8, dense);
+            let mut m = loaded_array(subtype, 8, dense).with_cycle_limit(5_000);
             m.run_resilient(&array_kernel(), plan.clone())
         };
         assert_eq!(

@@ -16,11 +16,9 @@ pub struct RequestLimits {
     pub max_cycles: u64,
     /// Largest core/lane count a single job may ask for.
     pub max_cores: usize,
-    /// Largest sweep point count a single job may ask for.  Headroom
-    /// raised from 64 once all-single-core sweeps started routing
-    /// through the structure-of-arrays fleet executor (DESIGN.md §14),
-    /// which amortizes decode across points instead of paying the full
-    /// per-point scheduler cost.
+    /// Largest sweep point count a single job may ask for.  The points
+    /// run one after another on pooled uni-processors, whose burst
+    /// kernel keeps the per-point cost low.
     pub max_sweep_points: usize,
 }
 
@@ -87,7 +85,7 @@ pub enum JobKind {
     /// seed runs the same lane kernel under an independent deterministic
     /// fault plan.  The engine runs the seeds one after another with
     /// `run_resilient` on one array machine, reset between seeds
-    /// (DESIGN.md §14).
+    /// (DESIGN.md §9).
     FaultSweep {
         /// Array sub-type (IAP-I..IV) under study.
         subtype: ArraySubtype,

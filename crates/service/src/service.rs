@@ -1,12 +1,16 @@
 //! The service core: a bounded worker pool draining the DRR queue, with
 //! admission control at `submit` and a typed terminal outcome delivered
-//! to every admitted job's ticket.
+//! to every admitted job's ticket — also when the run panics: the
+//! worker catches the panic, resolves the ticket `Failed` with an
+//! `internal:` error and goes on to the next job.
 //!
 //! All admission decisions run on a caller-supplied millisecond clock
 //! (the HTTP layer feeds wall time, the chaos harness a scripted virtual
 //! clock), so they replay bit-identically under any worker count.
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -263,6 +267,20 @@ fn deliver(slot: &OutcomeSlot, outcome: JobOutcome) {
 }
 
 /// Simulated cycles a terminal outcome consumed, when the job ran.
+/// The typed outcome of a job whose run panicked: the worker survives,
+/// and the ticket resolves `Failed` with an `internal:` error.
+fn panicked(payload: Box<dyn Any + Send>) -> JobOutcome {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    JobOutcome::Failed {
+        error: format!("internal: the job panicked: {message}"),
+        retries: 0,
+    }
+}
+
 fn outcome_cycles(outcome: &JobOutcome) -> Option<u64> {
     match outcome {
         JobOutcome::Completed {
@@ -413,12 +431,22 @@ impl Service {
             } else if job.profile.is_some() {
                 let run_start = Instant::now();
                 let acquire_ns = (run_start - picked).as_nanos() as u64;
-                let (outcome, run) = inner.engine.execute_profiled(&job.request, &job.cancel);
-                let run_wall_ns = run_start.elapsed().as_nanos() as u64;
-                capture = Some((run, acquire_ns, run_wall_ns));
-                outcome
+                // A panicking run fails its job, not the worker.
+                match catch_unwind(AssertUnwindSafe(|| {
+                    inner.engine.execute_profiled(&job.request, &job.cancel)
+                })) {
+                    Ok((outcome, run)) => {
+                        let run_wall_ns = run_start.elapsed().as_nanos() as u64;
+                        capture = Some((run, acquire_ns, run_wall_ns));
+                        outcome
+                    }
+                    Err(payload) => panicked(payload),
+                }
             } else {
-                inner.engine.execute(&job.request, &job.cancel)
+                catch_unwind(AssertUnwindSafe(|| {
+                    inner.engine.execute(&job.request, &job.cancel)
+                }))
+                .unwrap_or_else(panicked)
             };
             {
                 let mut state = inner.state.lock().expect("service lock poisoned");
@@ -695,6 +723,33 @@ mod tests {
         }
         let metrics = service.metrics();
         assert_eq!((metrics.admitted, metrics.finished()), (1, 1));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_fails_typed_and_keeps_its_worker() {
+        let service = Service::start(config(8, 1));
+        let alive = |service: &Service| {
+            let workers = service.workers.lock().unwrap();
+            workers.iter().filter(|w| !w.is_finished()).count()
+        };
+        let ticket = service
+            .submit(0, simulate(crate::engine::tests::PANIC_TENANT, 40))
+            .unwrap();
+        match ticket.wait() {
+            JobOutcome::Failed { error, retries: 0 } => {
+                assert!(error.starts_with("internal:"), "{error}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(alive(&service), 1, "the worker survived the panic");
+        let next = service.submit(0, simulate("acme", 40)).unwrap();
+        assert!(matches!(next.wait(), JobOutcome::Completed { .. }));
+        let metrics = service.metrics();
+        assert_eq!(metrics.in_flight, 0);
+        assert_eq!(metrics.outcomes.get("failed"), Some(&1));
+        assert_eq!(metrics.outcomes.get("completed"), Some(&1));
+        assert_eq!((metrics.admitted, metrics.finished()), (2, 2));
         service.shutdown();
     }
 

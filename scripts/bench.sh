@@ -8,15 +8,6 @@
 #                                the committed baseline (non-zero exit on
 #                                any deterministic-counter regression)
 #   scripts/bench.sh full      — deep local collection to BENCH_local.json
-#   scripts/bench.sh fleet     — gate just the */fleet and */fleet_simd
-#                                twins and their sequential baselines
-#                                against the committed baseline (the
-#                                quick loop while touching the SoA
-#                                executor)
-#   scripts/bench.sh fleet-simd — the same gate built with the `simd`
-#                                feature, so the wide lane kernels run
-#                                as real AVX2/SSE2 intrinsics where the
-#                                host supports them
 #   scripts/bench.sh history … — pass-through to the bench_history CLI
 #                                against the default store
 #                                artifacts/history (record / list /
@@ -53,19 +44,6 @@ case "${1:-compare}" in
         cargo run --release --offline -p skilltax-bench --bin bench_collect -- \
             --label local "${FILTER_ARGS[@]}"
         ;;
-    fleet)
-        # The fleet twins share their name stem with their sequential
-        # baselines (…/swarm/… vs …/swarm/…/fleet{,_simd}), so one
-        # substring gates all sides of each SoA identity group.
-        cargo run --release --offline -p skilltax-bench --bin bench_compare -- \
-            --baseline "$BASELINE" --filter swarm
-        ;;
-    fleet-simd)
-        # Same gate, wide kernels as real intrinsics: deterministic
-        # counters must not move when the `simd` feature is on.
-        cargo run --release --offline -p skilltax-bench --features simd \
-            --bin bench_compare -- --baseline "$BASELINE" --filter swarm
-        ;;
     history)
         shift
         if [ $# -eq 0 ]; then
@@ -85,7 +63,7 @@ case "${1:-compare}" in
             "$sub" ${store_args[@]+"${store_args[@]}"} "$@"
         ;;
     *)
-        echo "usage: scripts/bench.sh [record|compare|full|fleet|fleet-simd|history] [FILTER]" >&2
+        echo "usage: scripts/bench.sh [record|compare|full|history] [FILTER]" >&2
         exit 2
         ;;
 esac

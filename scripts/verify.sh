@@ -38,40 +38,24 @@ cargo test --release --offline -p skilltax-machine --test scheduler_identity -q
 echo "==> cargo test --release --offline -p skilltax-machine --test decoupled_identity"
 cargo test --release --offline -p skilltax-machine --test decoupled_identity -q
 
-# Kernel identity: the fused local-instruction kernel must do exactly
-# what stepping the same programs one instruction at a time does — at
-# every cycle bound, under hashed stalls, traced and untraced
-# (DESIGN.md §9).
+# Kernel identity: the fused local-instruction kernel and the array's
+# opcode-hoisted lockstep kernel must do exactly what stepping the same
+# programs one instruction at a time does — at every cycle bound, under
+# hashed stalls or bit flips, traced and untraced (DESIGN.md §9).
 echo "==> cargo test --release --offline -p skilltax-machine --test kernel_identity"
 cargo test --release --offline -p skilltax-machine --test kernel_identity -q
 
-# Shard + fleet identity: the shard-parallel runners must stay
-# counter-exact twins of the single-threaded schedulers (DESIGN.md §10),
-# and the structure-of-arrays fleet executor must stay bit-identical to
-# N sequential dense runs (DESIGN.md §14) — at every thread width, so
-# both suites repeat under a pinned SKILLTAX_THREADS: 1 (auto collapses
-# to single-threaded), 2 and 8 (oversubscribed on small hosts, which is
-# exactly the stress the barrier and the chunked fleet must survive).
+# Shard identity: the shard-parallel runners must stay counter-exact
+# twins of the single-threaded schedulers (DESIGN.md §10) at every
+# thread width, so the suite repeats under a pinned SKILLTAX_THREADS:
+# 1 (auto collapses to single-threaded), 2 and 8 (oversubscribed on
+# small hosts, which is exactly the stress the barrier must survive).
 for threads in 1 2 8; do
-    echo "==> SKILLTAX_THREADS=$threads cargo test --release --offline -p skilltax-machine --test shard_identity --test fleet_identity"
+    echo "==> SKILLTAX_THREADS=$threads cargo test --release --offline -p skilltax-machine --test shard_identity"
     SKILLTAX_THREADS=$threads \
         cargo test --release --offline -p skilltax-machine \
-        --test shard_identity --test fleet_identity -q
+        --test shard_identity -q
 done
-
-# The same fleet-identity suite with the wide lane kernels compiled to
-# real std::arch intrinsics (`--features simd`): the batched SIMD paths
-# must stay bit-identical to N sequential dense runs too, at every
-# thread width.  Clippy also runs over the feature-gated unsafe module
-# so intrinsic code is held to the same -D warnings bar.
-for threads in 1 2 8; do
-    echo "==> SKILLTAX_THREADS=$threads cargo test --release --offline -p skilltax-machine --features simd --test fleet_identity"
-    SKILLTAX_THREADS=$threads \
-        cargo test --release --offline -p skilltax-machine --features simd \
-        --test fleet_identity -q
-done
-echo "==> cargo clippy -p skilltax-machine --features simd --all-targets --offline -- -D warnings"
-cargo clippy -p skilltax-machine --features simd --all-targets --offline -- -D warnings
 
 # Chaos soak: the multi-tenant service under a seeded hostile tenant
 # mix (DESIGN.md §11).  SKILLTAX_SOAK_SECONDS maps deterministically to
