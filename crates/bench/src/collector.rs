@@ -33,11 +33,10 @@ use skilltax_machine::telemetry::{EventKind, Telemetry, Tracer};
 use skilltax_machine::universal::{program_counter, LutFabric};
 use skilltax_machine::workload::{
     run_backoff_storm_multi_traced, run_fabric_counters_traced, run_fault_monte_carlo_array,
-    run_mimd_mix_multi_traced, run_mimd_stagger_multi_sharded, run_mimd_stagger_multi_traced,
-    run_reduce_dataflow_traced, run_reduce_dataflow_with, run_ring_shift_multi_traced,
-    run_spin_swarm_uni_traced, run_stagger_spatial_sharded, run_stagger_spatial_traced,
-    run_vector_add_array_traced, run_vector_add_multi_traced, run_vector_add_swarm_array_traced,
-    run_vector_add_uni_traced,
+    run_mimd_mix_multi_traced, run_mimd_stagger_multi_traced, run_reduce_dataflow_traced,
+    run_reduce_dataflow_with, run_ring_shift_multi_traced, run_spin_swarm_uni_traced,
+    run_stagger_spatial_traced, run_vector_add_array_traced, run_vector_add_multi_traced,
+    run_vector_add_swarm_array_traced, run_vector_add_uni_traced,
 };
 use skilltax_machine::{Assembler, CancelToken, FaultPlan, Instr, Program, Stats, Word};
 use skilltax_service::admission::{DrrQueue, QueuedJob};
@@ -548,44 +547,12 @@ pub fn suite() -> Vec<SuiteBench> {
         },
     ));
 
-    // --- shard-parallel twins ----------------------------------------
-    //
-    // The `/sharded` twin of a workload splits the machine across two
-    // worker threads (`with_shards(2)` — fixed, so the counters don't
-    // depend on the host's core count).  Deterministic counters are
-    // identical to the single-threaded entry by construction (enforced
-    // by the shard-identity suite); wall time is where sharding shows
-    // up, and only on multi-core hosts.
-    benches.push(SuiteBench::new(
-        "machine/mimd_stagger/multi/256/sharded",
-        "machine.multi",
-        |tracer| {
-            let run =
-                run_mimd_stagger_multi_sharded(256, 4096, 2, tracer).expect("staggered MIMD runs");
-            stats_counters(&run.stats)
-        },
-    ));
-    benches.push(SuiteBench::new(
-        "machine/spatial_stagger/64/sharded",
-        "machine.spatial",
-        |tracer| {
-            let run = run_stagger_spatial_sharded(64, 4096, 2, tracer).expect("staggered ISP runs");
-            stats_counters(&run.stats)
-        },
-    ));
+    // --- message ring and fabric regions -----------------------------
     benches.push(SuiteBench::new(
         "machine/ring_shift/multi/64",
         "machine.multi",
         |tracer| {
-            let run = run_ring_shift_multi_traced(64, 1, tracer).expect("the ring delivers");
-            stats_counters(&run.stats)
-        },
-    ));
-    benches.push(SuiteBench::new(
-        "machine/ring_shift/multi/64/sharded",
-        "machine.multi",
-        |tracer| {
-            let run = run_ring_shift_multi_traced(64, 2, tracer).expect("the ring delivers");
+            let run = run_ring_shift_multi_traced(64, tracer).expect("the ring delivers");
             stats_counters(&run.stats)
         },
     ));
@@ -593,15 +560,7 @@ pub fn suite() -> Vec<SuiteBench> {
         "machine/fabric_counters/12",
         "machine.fabric",
         |tracer| {
-            let run = run_fabric_counters_traced(12, 1, 1_000, tracer).expect("the chains go high");
-            stats_counters(&run.stats)
-        },
-    ));
-    benches.push(SuiteBench::new(
-        "machine/fabric_counters/12/sharded",
-        "machine.fabric",
-        |tracer| {
-            let run = run_fabric_counters_traced(12, 2, 1_000, tracer).expect("the chains go high");
+            let run = run_fabric_counters_traced(12, 1_000, tracer).expect("the chains go high");
             stats_counters(&run.stats)
         },
     ));
@@ -894,26 +853,6 @@ mod tests {
             "machine/backoff_storm/multi/60k",
         ] {
             assert_eq!(find(base), find(&format!("{base}/dense")), "{base}");
-        }
-    }
-
-    #[test]
-    fn sharded_twins_report_identical_counters() {
-        let suite = suite();
-        let find = |name: &str| {
-            suite
-                .iter()
-                .find(|b| b.name() == name)
-                .expect("registered")
-                .capture_counters()
-        };
-        for base in [
-            "machine/mimd_stagger/multi/256",
-            "machine/spatial_stagger/64",
-            "machine/ring_shift/multi/64",
-            "machine/fabric_counters/12",
-        ] {
-            assert_eq!(find(base), find(&format!("{base}/sharded")), "{base}");
         }
     }
 

@@ -6,17 +6,15 @@
 //! * a **deadline cycle** — checked exactly where the watchdog budget is
 //!   checked, so a deadline of `d` stops the run after precisely `d`
 //!   simulated cycles with partial [`Stats`] that are bit-identical
-//!   across the dense, event-driven and shard-parallel schedulers (the
-//!   same identity contract the watchdog already satisfies, DESIGN.md
-//!   §9/§10);
+//!   across the dense and event-driven schedulers (the same identity
+//!   contract the watchdog already satisfies, DESIGN.md §9);
 //! * an **asynchronous flag** — an `Arc<AtomicBool>` any thread may
 //!   raise (a service worker observing a client disconnect, an operator
 //!   abort).  Flag cancellation is *prompt* but promises no stop cycle:
 //!   run loops poll the flag at points of their choosing — some every
-//!   simulated cycle, the burst-kernel loops once per quantum of cycles,
-//!   the shard coordinator once per slice — so the stop cycle depends on
-//!   when the flag was raised and is not replayable the way a deadline
-//!   is.
+//!   simulated cycle, the burst-kernel loops once per quantum of cycles
+//!   — so the stop cycle depends on when the flag was raised and is not
+//!   replayable the way a deadline is.
 //!
 //! Both paths surface as the typed
 //! [`MachineError::Cancelled`](crate::error::MachineError::Cancelled)

@@ -21,7 +21,7 @@
 
 use crate::error::MachineError;
 use crate::exec::Stats;
-use crate::fault::FaultPlan;
+use crate::fault::{StallLaw, StallStream};
 use crate::isa::{Instr, Reg, Word, NUM_REGS};
 use crate::mem::BankedMemory;
 use crate::program::Program;
@@ -257,27 +257,56 @@ fn branch(taken: bool, target: usize) -> Flow {
     }
 }
 
-/// The per-cycle stall roll a burst is instantiated with, chosen once
-/// per burst so the fault-free kernel carries no roll at all.
+/// The stall runs a burst is instantiated with, chosen once per burst so
+/// a run without a stall law carries no draw at all.
 trait StallRoll {
-    fn stalled(&mut self, cycle: u64, lane: usize) -> bool;
+    /// Does this instance draw at all?
+    const DRAWS: bool;
+    /// The cycle on which the fetch the processor reaches on `cycle`
+    /// issues: a fetch an earlier burst held back, else a fresh draw.
+    fn fetch_at(&mut self, cycle: u64) -> u64;
+    /// Hold the next fetch back until `at`, past the burst's bound.
+    fn hold(&mut self, at: u64);
 }
 
-impl StallRoll for FaultPlan {
+/// A core's stall stream as a burst spends it: the plan's law, the
+/// core's stream, and the run's cycle limit, where runs are capped.
+pub(crate) struct Stalls<'a, S> {
+    pub(crate) law: &'a StallLaw,
+    pub(crate) stream: S,
+    pub(crate) limit: u64,
+}
+
+impl StallRoll for Stalls<'_, StallStream> {
+    const DRAWS: bool = true;
+
     #[inline(always)]
-    fn stalled(&mut self, cycle: u64, lane: usize) -> bool {
-        self.dp_stalled(cycle, lane)
+    fn fetch_at(&mut self, cycle: u64) -> u64 {
+        match self.stream.take_held() {
+            0 => self.stream.draw_fetch(self.law, cycle, self.limit),
+            held => held,
+        }
+    }
+
+    #[inline(always)]
+    fn hold(&mut self, at: u64) {
+        self.stream.hold(at);
     }
 }
 
-/// No fault plan: nothing ever stalls.
+/// No stall law: every fetch issues at once.
 struct NoStalls;
 
 impl StallRoll for NoStalls {
+    const DRAWS: bool = false;
+
     #[inline(always)]
-    fn stalled(&mut self, _cycle: u64, _lane: usize) -> bool {
-        false
+    fn fetch_at(&mut self, cycle: u64) -> u64 {
+        cycle
     }
+
+    #[inline(always)]
+    fn hold(&mut self, _at: u64) {}
 }
 
 /// A data processor: registers, ALU, and its lane identity.
@@ -329,19 +358,23 @@ impl DataProcessor {
     /// a `Halt`, the end of the program, a fabric instruction or an error.
     ///
     /// `stats.cycles` is the processor's clock on entry; every executed
-    /// instruction charges one cycle and one `stats.instructions`, and a
-    /// stall that `faults` injects (the hashed `dp_stalled` query, asked
-    /// right before each fetch) charges one cycle and one `stats.stalls`.
-    /// `Halt` and an instruction whose memory access fails are charged
-    /// like any other and leave the program counter on themselves; a
-    /// fabric instruction and running off the end charge nothing.
+    /// instruction charges one cycle and one `stats.instructions`, and
+    /// every cycle a stall run holds a fetch back charges one cycle and
+    /// one `stats.stalls`.  The run comes from `stalls`, the core's
+    /// stream, one draw per fetch: the burst adds it to the clock at once
+    /// and leaves any part past `bound` with the stream, for the next
+    /// burst to spend first.  `Halt` and an instruction whose memory
+    /// access fails are charged like any other and leave the program
+    /// counter on themselves; a fabric instruction and running off the
+    /// end charge nothing (the fetch's stall run is spent by then, so the
+    /// caller issues the fabric instruction on the next cycle).
     ///
     /// The kernel is one fused fetch–decode–execute loop over the shared
     /// step.  Registers, program counter, clock, stall count and the
     /// operation counters live in locals for the whole burst and are
-    /// written back once, on every exit including errors.  The stall roll
-    /// is chosen here, once: the kernel is instantiated once with the
-    /// plan's hashed roll and once with none.
+    /// written back once, on every exit including errors.  The stall
+    /// draw is chosen here, once: the kernel is instantiated once with
+    /// the stream and once with none.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_burst<T: Tracer>(
         &mut self,
@@ -350,16 +383,27 @@ impl DataProcessor {
         mem: &mut BankedMemory,
         stats: &mut Stats,
         bound: u64,
-        faults: Option<&mut FaultPlan>,
+        stalls: Option<Stalls<'_, &mut StallStream>>,
         tracer: &mut T,
     ) -> Result<BurstEnd, MachineError> {
-        match faults {
-            Some(plan) => self.burst(program, pc, mem, stats, bound, plan, tracer),
+        match stalls {
+            Some(stalls) => {
+                // The stream lives in a local for the burst, like the
+                // registers, and is written back once.
+                let mut local = Stalls {
+                    law: stalls.law,
+                    stream: stalls.stream.clone(),
+                    limit: stalls.limit,
+                };
+                let end = self.burst(program, pc, mem, stats, bound, &mut local, tracer);
+                *stalls.stream = local.stream;
+                end
+            }
             None => self.burst(program, pc, mem, stats, bound, &mut NoStalls, tracer),
         }
     }
 
-    /// [`DataProcessor::run_burst`] with its stall roll fixed.
+    /// [`DataProcessor::run_burst`] with its stall draw fixed.
     #[allow(clippy::too_many_arguments)]
     fn burst<S: StallRoll, T: Tracer>(
         &mut self,
@@ -383,12 +427,25 @@ impl DataProcessor {
             if cycle >= bound {
                 break Ok(BurstEnd::Bound);
             }
-            if stalls.stalled(cycle + 1, lane) {
-                cycle += 1;
-                stalled += 1;
-                tracer.record(cycle, EventKind::FaultInjected(FaultKind::Stall));
-                tracer.record(cycle, EventKind::Stall);
-                continue;
+            if S::DRAWS {
+                // Spend the fetch's run in one step, up to the bound; a
+                // run that reaches past it holds the fetch back for the
+                // next burst.  No branch asks whether the fetch stalls:
+                // an empty run adds nothing.
+                let fetch = stalls.fetch_at(cycle + 1);
+                let until = (fetch - 1).min(bound);
+                if tracer.enabled() {
+                    for c in cycle + 1..=until {
+                        tracer.record(c, EventKind::FaultInjected(FaultKind::Stall));
+                        tracer.record(c, EventKind::Stall);
+                    }
+                }
+                stalled += until - cycle;
+                cycle = until;
+                if fetch > bound {
+                    stalls.hold(fetch);
+                    break Ok(BurstEnd::Bound);
+                }
             }
             let Some(&instr) = instrs.get(at) else {
                 break Ok(BurstEnd::OffEnd);
@@ -466,6 +523,7 @@ impl DataProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::mem::DataTopology;
     use skilltax_model::rng::XorShift64;
 
@@ -555,14 +613,15 @@ mod tests {
         mem: &mut BankedMemory,
         stats: &mut Stats,
         bound: u64,
-        mut faults: Option<&mut FaultPlan>,
+        mut stalls: Option<(&StallLaw, &mut StallStream)>,
     ) -> Result<BurstEnd, MachineError> {
         loop {
             if stats.cycles >= bound {
                 return Ok(BurstEnd::Bound);
             }
-            if let Some(plan) = faults.as_deref_mut() {
-                if plan.dp_stalled(stats.cycles + 1, dp.lane()) {
+            if let Some((law, stream)) = stalls.as_mut() {
+                let next = stats.cycles + 1;
+                if stream.fetch_at(law, next, u64::MAX) > next {
                     stats.cycles += 1;
                     stats.stalls += 1;
                     continue;
@@ -630,8 +689,10 @@ mod tests {
             // the cycle budget is spent: every bound in one burst, and
             // resumption from a mid-program pc in the short ones.
             let chunk = [1, QUANTUM - 1, QUANTUM, QUANTUM + 1, 7][case as usize % 5];
-            let plan = FaultPlan::seeded(case).stall_dps(0.3);
-            let (mut kplan, mut rplan) = (plan.clone(), plan);
+            let plan = FaultPlan::seeded(case).stall_dps([0.3, 0.9][case as usize / 2 % 2]);
+            let law = plan.stall_law().unwrap();
+            let mut kstream = plan.stall_stream(lane, 0);
+            let mut rstream = kstream.clone();
             let (mut k, mut r) = (DataProcessor::new(lane), DataProcessor::new(lane));
             let (mut kmem, mut rmem) = (mem(), mem());
             let (mut kpc, mut rpc) = (0usize, 0usize);
@@ -644,7 +705,11 @@ mod tests {
                     &mut kmem,
                     &mut ks,
                     bound,
-                    stalls.then_some(&mut kplan),
+                    stalls.then_some(Stalls {
+                        law: &law,
+                        stream: &mut kstream,
+                        limit: u64::MAX,
+                    }),
                     &mut NullTracer,
                 );
                 let want = single_steps(
@@ -654,14 +719,15 @@ mod tests {
                     &mut rmem,
                     &mut rs,
                     bound,
-                    stalls.then_some(&mut rplan),
+                    stalls.then_some((&law, &mut rstream)),
                 );
                 let label = format!("case {case}: {program}");
                 assert_eq!(got, want, "{label}");
                 assert_eq!((kpc, ks), (rpc, rs), "{label}");
                 assert_eq!((k.regs, k.counters()), (r.regs, r.counters()), "{label}");
                 assert_eq!(kmem.bank(lane).contents(), rmem.bank(lane).contents());
-                assert_eq!(kplan.injected(), rplan.injected(), "{label}");
+                // The part of a run past the bound stays with the stream.
+                assert_eq!(format!("{kstream:?}"), format!("{rstream:?}"), "{label}");
                 let slot = match got {
                     Ok(BurstEnd::Bound) if ks.cycles < 3 * QUANTUM => continue,
                     Ok(BurstEnd::Bound) => 0,

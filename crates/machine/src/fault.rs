@@ -9,9 +9,10 @@
 //! degrade gracefully, direct (`-`) classes fail with a typed
 //! [`MachineError::DegradationImpossible`].
 //!
-//! Everything is driven by the in-repo xorshift PRNG
-//! ([`skilltax_model::rng::XorShift64`]); no external randomness, so every
-//! storm is reproducible from its seed.
+//! Everything is driven by the plan's seed — the in-repo xorshift PRNG
+//! ([`skilltax_model::rng::XorShift64`]) and splitmix64 hashes and
+//! streams derived from the seed; no external randomness, so every storm
+//! is reproducible from its seed.
 
 use std::collections::BTreeSet;
 
@@ -51,10 +52,11 @@ pub struct LinkOutage {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     rng: XorShift64,
-    /// The construction seed, kept verbatim: per-cycle stall decisions
-    /// hash it with `(cycle, dp)` so they are order-independent — every
-    /// fork and clone of a plan agrees on the stall schedule no matter
-    /// which scheduler (dense, event, sharded) asks, or in what order.
+    /// The construction seed, kept verbatim: stall draws hash it (with
+    /// `(cycle, dp)` per cycle in the dataflow engine, with `(dp, core)`
+    /// for a MIMD core's stream, with the broadcast index on an array),
+    /// so every fork and clone of a plan agrees on the stall schedule no
+    /// matter which scheduler asks, or in what order.
     stall_seed: u64,
     failed_dps: BTreeSet<usize>,
     outages: Vec<LinkOutage>,
@@ -109,7 +111,8 @@ impl FaultPlan {
         self
     }
 
-    /// Stall each DP on each cycle with probability `rate`.
+    /// Stall each DP with probability `rate` per cycle at its fetch
+    /// stage: `P(a fetch waits ≥ s cycles) = rate^s`.
     pub fn stall_dps(mut self, rate: f64) -> FaultPlan {
         self.stall_threshold = threshold(rate);
         self
@@ -152,25 +155,15 @@ impl FaultPlan {
     /// Memory bit-flips consume one random draw per cycle, so an
     /// event-driven scheduler that skips idle cycles would desynchronise
     /// the stream.  Engines use this to fall back to their dense
-    /// reference loop.  DP stalls do *not* roll: they hash
-    /// `(seed, cycle, dp)` and are therefore order-independent — dense,
-    /// event and sharded interleavings all see the same stall schedule.
-    /// Drops, corruption and link outages only roll on actual sends,
-    /// which the event path replays at identical cycles in identical
-    /// order.
+    /// reference loop.  DP stalls do *not* roll per cycle: a MIMD core
+    /// draws one stall run per fetch from its own [`StallStream`], an
+    /// array one run per broadcast from [`StallRuns`], and the dataflow
+    /// engine hashes `(seed, cycle, dp)` — none of them depends on which
+    /// scheduler visits which cycle.  Drops, corruption and link outages
+    /// only roll on actual sends, which the event path replays at
+    /// identical cycles in identical order.
     pub fn has_per_cycle_rolls(&self) -> bool {
         self.flip_threshold > 0
-    }
-
-    /// Does this plan roll the PRNG on message sends?
-    ///
-    /// Drops and corruption consume one random draw per send in global
-    /// send order, which a shard-parallel runner (one forked plan per
-    /// shard) cannot reproduce.  Link outages are schedule-driven and
-    /// roll no randomness, so they shard fine.  Engines use this to fall
-    /// back to the single-threaded scheduler.
-    pub fn has_message_rolls(&self) -> bool {
-        self.drop_threshold > 0 || self.corrupt_threshold > 0
     }
 
     /// Is the `from -> to` link down at `cycle`?
@@ -206,16 +199,17 @@ impl FaultPlan {
         }
     }
 
-    /// Is `dp` transiently stalled this cycle?
+    /// Is `dp` transiently stalled this cycle?  The dataflow engine's
+    /// per-cycle roll; MIMD cores draw whole runs instead
+    /// ([`FaultPlan::stall_law`]).
     ///
     /// The decision is a pure function of `(seed, cycle, dp)` — no PRNG
     /// stream is consumed — so stall outcomes are order-independent:
-    /// identical under dense, event-driven and shard-parallel
-    /// interleavings, and across forks of the same plan.  Only queries
-    /// that actually fire count toward [`FaultPlan::injected`], so the
-    /// totals agree too as long as every scheduler queries the same
-    /// `(cycle, dp)` set (the run loops query exactly the processors
-    /// that would otherwise act this cycle).
+    /// identical under dense and event-driven interleavings, and across
+    /// forks of the same plan.  Only queries that actually fire count
+    /// toward [`FaultPlan::injected`], so the totals agree too as long as
+    /// every scheduler queries the same `(cycle, dp)` set (the run loops
+    /// query exactly the processors that would otherwise act this cycle).
     #[inline]
     pub fn dp_stalled(&mut self, cycle: u64, dp: usize) -> bool {
         if self.stall_threshold > 0 && stall_hash(self.stall_seed, cycle, dp) < self.stall_threshold
@@ -261,8 +255,32 @@ impl FaultPlan {
         }
     }
 
-    /// Count `cycles` lockstep stall cycles a [`StallRuns`] run charged:
-    /// each is one injected fault, as when a lane roll fired.
+    /// The per-core stall law of a MIMD machine: the sampler of how many
+    /// cycles each fetch waits, built once per run.  `None` when the plan
+    /// has no stall rate, so a run without one draws nothing.
+    ///
+    /// With stall rate `p`, every fetch waits `S` cycles with
+    /// `P(S ≥ s) = p^s` — the law of the old per-cycle roll, which
+    /// stalled each cycle at the fetch stage independently with `p` —
+    /// drawn from the core's own [`StallStream`] (DESIGN.md §7).
+    pub fn stall_law(&self) -> Option<StallLaw> {
+        (self.stall_threshold > 0).then(|| StallLaw::new(self.stall_threshold))
+    }
+
+    /// The private stall stream of instruction processor `core` driving
+    /// data processor `dp`, seeded from the plan's seed and both indices:
+    /// a pure function of them, so every scheduler and every fork of the
+    /// plan draws the same runs for the same core.
+    pub fn stall_stream(&self, dp: usize, core: usize) -> StallStream {
+        StallStream {
+            state: stall_hash(self.stall_seed, core as u64, dp),
+            fetch_at: 0,
+        }
+    }
+
+    /// Count `cycles` stall cycles a sampled run charged ([`StallRuns`]
+    /// or a [`StallStream`]): each is one injected fault, as when a
+    /// per-cycle roll fired.
     #[inline]
     pub fn charge_stalls(&mut self, cycles: u64) {
         self.injected += cycles;
@@ -342,15 +360,20 @@ fn draw(rng: &mut XorShift64) -> u64 {
 /// and every fork of a plan computes the same answer.
 #[inline]
 fn stall_hash(seed: u64, cycle: u64, dp: usize) -> u64 {
-    let mut x = seed
-        ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (dp as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
+    mix(seed ^ cycle.wrapping_mul(GOLDEN) ^ (dp as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)) >> 11
+}
+
+/// The splitmix64 increment (`2^64` over the golden ratio).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 finalizer.
+#[inline]
+fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x >> 11
+    x ^ (x >> 31)
 }
 
 /// The lane tag the broadcast stall draw hashes in place of a processor
@@ -390,6 +413,209 @@ impl StallRuns {
                 (u.ln() / ln_stall) as u64
             }
         }
+    }
+}
+
+/// Thresholds in a [`StallLaw`]'s table: a draw that clears all of them
+/// stands for a run of at least this many cycles.
+const STALL_TABLE: usize = 16;
+
+/// Bits of a draw that index a [`StallLaw`]'s bucket lookup.
+const BUCKET_BITS: u32 = 8;
+
+/// The per-core stall law of a MIMD machine ([`FaultPlan::stall_law`]):
+/// the integer table that turns one 53-bit draw into the stalled cycles
+/// in front of one fetch.
+///
+/// For the plan's exact rate `p = t / 2^53` the table holds
+/// `T_s = ⌈p^s · 2^53⌉` for `s = 1..=16`.  A draw `m` clears `T_s`
+/// (`m < T_s`) exactly when `m / 2^53 < p^s`, so the count of thresholds
+/// it clears, `S`, has `P(S ≥ s) = T_s / 2^53`: `p^s` up to the one
+/// ceiling.  A draw that clears all sixteen is redrawn and its run
+/// continues past sixteen — the law is memoryless.  A 256-entry lookup
+/// on the draw's top bits brackets `S`; only draws in a bucket that a
+/// threshold splits scan the table.
+#[derive(Clone)]
+pub struct StallLaw {
+    /// `T_1 > T_2 > … > T_16` (non-increasing).
+    thresholds: [u64; STALL_TABLE],
+    /// Per bucket of draws with the same top bits: how many thresholds
+    /// every draw in it clears, and how many some draw in it clears.
+    buckets: [(u8, u8); 1 << BUCKET_BITS],
+    /// `p = 1`: every fetch waits for the rest of the budget.
+    certain: bool,
+}
+
+impl StallLaw {
+    /// The law of integer stall threshold `t` (`0 < t ≤ 2^53`).
+    fn new(t: u64) -> StallLaw {
+        let thresholds = pow_thresholds(t);
+        let width = UNIT >> BUCKET_BITS;
+        let mut buckets = [(0u8, 0u8); 1 << BUCKET_BITS];
+        // The thresholds a draw clears are a prefix of the table, and the
+        // prefix only shrinks as the buckets rise.
+        let (mut every, mut some) = (STALL_TABLE, STALL_TABLE);
+        for (b, bucket) in buckets.iter_mut().enumerate() {
+            let low = b as u64 * width;
+            while some > 0 && thresholds[some - 1] <= low {
+                some -= 1;
+            }
+            while every > 0 && thresholds[every - 1] < low + width {
+                every -= 1;
+            }
+            *bucket = (every as u8, some as u8);
+        }
+        StallLaw {
+            thresholds,
+            buckets,
+            certain: t == UNIT,
+        }
+    }
+
+    /// The stalled cycles in front of one fetch, drawn from `stream`.
+    /// A run of the table's length or more is cut at `cap` (at least 1):
+    /// it outlasts the budget then, so its length past the cap is never
+    /// drawn.  One draw per sixteen cycles of run; a certain law returns
+    /// `cap` after its first draw.
+    #[inline]
+    fn run(&self, stream: &mut StallStream, cap: u64) -> u64 {
+        let s = self.cleared(stream.draw());
+        if s < STALL_TABLE as u64 {
+            return s;
+        }
+        // By value, so the stream's state never leaves a register on
+        // the common path.
+        let (run, state) = self.run_past_table(stream.state, cap);
+        stream.state = state;
+        run
+    }
+
+    /// [`StallLaw::run`] once the first draw cleared every threshold:
+    /// the run so far, and the stream state after its last draw.
+    #[cold]
+    fn run_past_table(&self, state: u64, cap: u64) -> (u64, u64) {
+        if self.certain {
+            return (cap, state);
+        }
+        let mut stream = StallStream { state, fetch_at: 0 };
+        let mut run = STALL_TABLE as u64;
+        while run < cap {
+            let s = self.cleared(stream.draw());
+            run += s;
+            if s < STALL_TABLE as u64 {
+                break;
+            }
+        }
+        (run.min(cap), stream.state)
+    }
+
+    /// How many thresholds the 53-bit draw `m` clears.
+    #[inline]
+    fn cleared(&self, m: u64) -> u64 {
+        let (mut s, hi) = self.buckets[(m >> (53 - BUCKET_BITS)) as usize];
+        while s < hi && m < self.thresholds[usize::from(s)] {
+            s += 1;
+        }
+        u64::from(s)
+    }
+}
+
+impl std::fmt::Debug for StallLaw {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StallLaw")
+            .field("thresholds", &self.thresholds)
+            .finish_non_exhaustive()
+    }
+}
+
+/// `⌈t^s / 2^(53(s-1))⌉ = ⌈p^s · 2^53⌉` for `p = t / 2^53` and
+/// `s = 1..=16`, computed exactly: `t^s` is carried as a little-endian
+/// multi-word integer (`t ≤ 2^53`, so `t^16 < 2^849`).
+fn pow_thresholds(t: u64) -> [u64; STALL_TABLE] {
+    const WORDS: usize = 14;
+    let mut power = [0u64; WORDS];
+    power[0] = 1;
+    let mut thresholds = [0u64; STALL_TABLE];
+    for (s, threshold) in thresholds.iter_mut().enumerate() {
+        let mut carry = 0u128;
+        for word in &mut power {
+            let x = u128::from(*word) * u128::from(t) + carry;
+            *word = x as u64;
+            carry = x >> 64;
+        }
+        // Shift right by 53·s bits, rounding up on any bit shifted out.
+        let shift = 53 * s;
+        let (skip, bits) = (shift / 64, shift % 64);
+        let lo = power[skip] >> bits;
+        let hi = power.get(skip + 1).map_or(0, |&w| w);
+        let quotient = if bits == 0 {
+            lo
+        } else {
+            lo | (hi << (64 - bits))
+        };
+        let rest = power[..skip].iter().any(|&w| w != 0) || power[skip] & ((1u64 << bits) - 1) != 0;
+        *threshold = quotient + u64::from(rest);
+    }
+    thresholds
+}
+
+/// One MIMD core's private stall stream ([`FaultPlan::stall_stream`]):
+/// a splitmix64 sequence, and the fetch its last draw delayed.  Its
+/// state advances by one addition per draw, so consecutive draws do not
+/// wait on each other.
+#[derive(Debug, Clone, Default)]
+pub struct StallStream {
+    state: u64,
+    /// The cycle the pending fetch issues on; 0 while the next fetch has
+    /// not drawn its run yet.
+    fetch_at: u64,
+}
+
+impl StallStream {
+    /// The next 53-bit draw.
+    #[inline]
+    fn draw(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(GOLDEN);
+        mix(self.state) >> 11
+    }
+
+    /// The cycle on which a core that reached its fetch stage by `cycle`
+    /// fetches: `cycle` itself when no run delays it.  The first ask
+    /// for a fetch draws its run from `law` (a run that outlasts the
+    /// budget, `limit`, is cut once it passes it); asking again before
+    /// that cycle returns the same cycle, and asking on it hands the
+    /// fetch over, so the next ask draws the next fetch's run.
+    #[inline]
+    pub fn fetch_at(&mut self, law: &StallLaw, cycle: u64, limit: u64) -> u64 {
+        if self.fetch_at == 0 {
+            self.fetch_at = self.draw_fetch(law, cycle, limit);
+        }
+        let at = self.fetch_at;
+        if at <= cycle {
+            self.fetch_at = 0;
+        }
+        at
+    }
+
+    /// Draw the run of the fetch a core reaches on `cycle`, capped as in
+    /// [`StallStream::fetch_at`]: the cycle the fetch issues on.
+    #[inline]
+    pub(crate) fn draw_fetch(&mut self, law: &StallLaw, cycle: u64, limit: u64) -> u64 {
+        let cap = limit.saturating_sub(cycle).saturating_add(1);
+        cycle.saturating_add(law.run(self, cap))
+    }
+
+    /// Take the fetch cycle an earlier draw still holds back (0 when the
+    /// next fetch has not drawn yet).
+    #[inline]
+    pub(crate) fn take_held(&mut self) -> u64 {
+        std::mem::take(&mut self.fetch_at)
+    }
+
+    /// Hold the next fetch back until cycle `at`.
+    #[inline]
+    pub(crate) fn hold(&mut self, at: u64) {
+        self.fetch_at = at;
     }
 }
 
@@ -763,6 +989,157 @@ mod tests {
         let b = forked.fork().stall_runs(4);
         assert!((0..1_000).all(|k| a.run(k) == b.run(k)));
         assert!((0..1_000).any(|k| a.run(k) > 0));
+    }
+
+    #[test]
+    fn stall_law_thresholds_are_exact_ceilings() {
+        // p = 3/8: p^s · 2^53 = 3^s · 2^(53 - 3s), an integer for s ≤ 16.
+        let law = StallLaw::new(3 << 50);
+        for (s, &t) in (1..).zip(&law.thresholds) {
+            assert_eq!(t, 3u64.pow(s) << (53 - 3 * s), "3/8, s = {s}");
+        }
+        // p = 1 − 2^-53: (2^53 − 1)^s / 2^(53(s−1)) = 2^53 − s + (a
+        // positive remainder below 1 for s ≥ 2), so the ceiling adds one.
+        let law = StallLaw::new(UNIT - 1);
+        for (s, &t) in (1..).zip(&law.thresholds) {
+            assert_eq!(t, UNIT - s.max(2) + 1, "1 - 2^-53, s = {s}");
+        }
+        // The smallest rate: 1 / 2^(53(s−1)) rounds up to 1.
+        assert_eq!(StallLaw::new(1).thresholds, [1; STALL_TABLE]);
+        assert_eq!(StallLaw::new(UNIT).thresholds, [UNIT; STALL_TABLE]);
+        assert!(StallLaw::new(UNIT).certain && !StallLaw::new(UNIT - 1).certain);
+    }
+
+    #[test]
+    fn bucket_lookup_counts_the_cleared_thresholds() {
+        let mut rng = XorShift64::new(0xB0C);
+        for rate in [1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0 - 1e-12] {
+            let law = StallLaw::new(threshold(rate));
+            let linear = |m: u64| law.thresholds.iter().filter(|&&t| m < t).count() as u64;
+            // Both sides of every threshold and every bucket edge, then
+            // random draws.
+            let width = UNIT >> BUCKET_BITS;
+            let edges = law
+                .thresholds
+                .iter()
+                .chain(
+                    &(0..=1u64 << BUCKET_BITS)
+                        .map(|b| b * width)
+                        .collect::<Vec<_>>(),
+                )
+                .flat_map(|&e| [e.saturating_sub(1), e, e + 1])
+                .filter(|&m| m < UNIT)
+                .collect::<Vec<_>>();
+            for m in edges.into_iter().chain((0..20_000).map(|_| draw(&mut rng))) {
+                assert_eq!(law.cleared(m), linear(m), "rate {rate}, draw {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_core_stall_runs_follow_the_geometric_law() {
+        // Within 5 standard errors (plus the f64 floor), over 10^5
+        // fetches per rate: the share of runs of each length s estimates
+        // (1 − p)·p^s, and the mean run estimates its expectation.  The
+        // rate just below 1 is capped at 64 cycles, as a run budget would
+        // cap it; the others run uncapped.
+        const N: u64 = 100_000;
+        const BINS: usize = 48;
+        let mut redrawn = 0u64;
+        for p in [1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1.0 / UNIT as f64] {
+            let cap = if p > 0.99 { 64 } else { u64::MAX };
+            let plan = FaultPlan::seeded(p.to_bits()).stall_dps(p);
+            let law = plan.stall_law().unwrap();
+            let mut stream = plan.stall_stream(0, 0);
+            let mut hist = [0u64; BINS + 1];
+            let mut sum = 0f64;
+            for _ in 0..N {
+                let run = law.run(&mut stream, cap);
+                redrawn += u64::from(run >= STALL_TABLE as u64);
+                hist[(run as usize).min(BINS)] += 1;
+                sum += run as f64;
+            }
+            // P(S ≥ s) = p^s below the cap.
+            let at_least = |s: usize| {
+                if (s as u64) > cap {
+                    0.0
+                } else {
+                    p.powi(s as i32)
+                }
+            };
+            let share_tol = |q: f64| 5.0 * (q * (1.0 - q) / N as f64).sqrt() + 1e-12;
+            for (s, &n) in hist.iter().enumerate() {
+                let q = if s < BINS {
+                    at_least(s) - at_least(s + 1)
+                } else {
+                    at_least(BINS)
+                };
+                let got = n as f64 / N as f64;
+                assert!(
+                    (got - q).abs() <= share_tol(q),
+                    "p {p}, S = {s}: {got} vs {q}"
+                );
+            }
+            let (mean, var) = if cap == u64::MAX {
+                (p / (1.0 - p), p / ((1.0 - p) * (1.0 - p)))
+            } else {
+                let (mut m1, mut m2) = (0.0, 0.0);
+                for s in 0..=cap {
+                    let q = at_least(s as usize) - at_least(s as usize + 1);
+                    m1 += s as f64 * q;
+                    m2 += (s * s) as f64 * q;
+                }
+                (m1, m2 - m1 * m1)
+            };
+            let got = sum / N as f64;
+            let tol = 5.0 * (var.max(0.0) / N as f64).sqrt() + 1e-9 * mean;
+            assert!((got - mean).abs() <= tol, "p {p}: mean {got} vs {mean}");
+        }
+        assert!(redrawn > 0, "no run went past the table");
+    }
+
+    #[test]
+    fn per_core_stall_streams_at_the_extremes() {
+        // Rate 0: no law, so a run draws nothing.
+        assert!(FaultPlan::seeded(1).stall_law().is_none());
+        assert!(FaultPlan::seeded(1).stall_dps(0.0).stall_law().is_none());
+        // Rate 1: the first fetch waits past the limit, on one draw.
+        let plan = FaultPlan::seeded(1).stall_dps(1.0);
+        let law = plan.stall_law().unwrap();
+        let mut stream = plan.stall_stream(0, 0);
+        let mut once = stream.clone();
+        once.draw();
+        assert_eq!(stream.fetch_at(&law, 5, 100), 101);
+        assert_eq!(stream.fetch_at(&law, 100, 100), 101);
+        once.hold(101);
+        assert_eq!(format!("{stream:?}"), format!("{once:?}"));
+        // An unbounded budget saturates instead of wrapping.
+        let mut stream = plan.stall_stream(0, 0);
+        assert_eq!(stream.fetch_at(&law, 9, u64::MAX), u64::MAX);
+        // A pending run answers the same cycle until it is spent, then
+        // the next fetch draws afresh; streams are pure in (seed, dp, core).
+        let plan = FaultPlan::seeded(3).stall_dps(0.9);
+        let law = plan.stall_law().unwrap();
+        let (mut a, mut b) = (
+            plan.stall_stream(2, 5),
+            plan.clone().fork().stall_stream(2, 5),
+        );
+        let mut cycle = 1;
+        for _ in 0..1_000 {
+            let at = a.fetch_at(&law, cycle, u64::MAX);
+            assert!(at >= cycle);
+            assert_eq!(b.fetch_at(&law, cycle, u64::MAX), at);
+            if at > cycle {
+                assert_eq!(a.fetch_at(&law, at - 1, u64::MAX), at);
+                assert_eq!(a.fetch_at(&law, at, u64::MAX), at);
+                assert_eq!(b.fetch_at(&law, at, u64::MAX), at);
+            }
+            cycle = at + 1;
+        }
+        assert_ne!(
+            format!("{:?}", plan.stall_stream(2, 5)),
+            format!("{:?}", plan.stall_stream(5, 2))
+        );
     }
 
     #[test]

@@ -96,10 +96,10 @@ impl FabricTopology {
 /// the plan's notion of time with [`Mailboxes::set_cycle`].
 ///
 /// Only the channels a run uses are stored: a channel is created by the
-/// first message that needs it (a `send` or `deposit`) and every other
-/// channel reads as empty, so a machine pays for the channels its
-/// programs use — a ring of `n` cores for `n` of them — and a machine
-/// that never sends pays nothing for its fabric.
+/// first message sent on it and every other channel reads as empty, so
+/// a machine pays for the channels its programs use — a ring of `n`
+/// cores for `n` of them — and a machine that never sends pays nothing
+/// for its fabric.
 #[derive(Debug, Clone)]
 pub struct Mailboxes {
     n: usize,
@@ -150,11 +150,6 @@ impl Mailboxes {
         self.faults.as_ref().map_or(0, FaultPlan::injected)
     }
 
-    /// Is a fault plan currently installed on the send path?
-    pub fn has_fault_plan(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// The fabric topology.
     pub fn topology(&self) -> FabricTopology {
         self.topology
@@ -180,7 +175,11 @@ impl Mailboxes {
             }
             value = plan.corrupt(value);
         }
-        self.deposit(from, to, value);
+        let queue = self.channel_mut(from, to);
+        queue.push_back(value);
+        if queue.len() == 1 {
+            self.non_empty += 1;
+        }
         Ok(())
     }
 
@@ -224,96 +223,6 @@ impl Mailboxes {
     /// Messages actually delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Carve out a shard-local mailbox set: all queues whose *destination*
-    /// lane lies in `to_range` are moved into a fresh `Mailboxes` of the
-    /// same geometry, which the shard worker owns exclusively (its cores
-    /// are the only receivers on those channels).  `plan` is the shard's
-    /// forked fault plan.  Restore with [`Mailboxes::absorb`].
-    pub fn split_inbound(
-        &mut self,
-        to_range: std::ops::Range<usize>,
-        plan: Option<FaultPlan>,
-    ) -> Mailboxes {
-        let mut child = Mailboxes::new(self.n, self.topology);
-        child.faults = plan;
-        child.cycle = self.cycle;
-        if self.non_empty == 0 {
-            return child;
-        }
-        for (&key, queue) in self.keys.iter().zip(&mut self.queues) {
-            let (from, to) = (key / self.n, key % self.n);
-            if to_range.contains(&to) && !queue.is_empty() {
-                self.non_empty -= 1;
-                child.non_empty += 1;
-                std::mem::swap(queue, child.channel_mut(from, to));
-            }
-        }
-        child
-    }
-
-    /// Drain every queue of a shard-local mailbox set back into this one
-    /// and accumulate its delivery count (fault-injection counts are read
-    /// separately via [`Mailboxes::faults_injected`] before absorbing).
-    pub fn absorb(&mut self, child: Mailboxes) {
-        for (key, queue) in child.keys.into_iter().zip(child.queues) {
-            if queue.is_empty() {
-                continue;
-            }
-            let n = self.n;
-            let channel = self.channel_mut(key / n, key % n);
-            let was_empty = channel.is_empty();
-            channel.extend(queue);
-            self.non_empty += usize::from(was_empty);
-        }
-        self.delivered += child.delivered;
-    }
-
-    /// Enqueue an already-validated message (a staged cross-shard send
-    /// whose route and fault checks ran on the sender's side).
-    pub fn deposit(&mut self, from: usize, to: usize, value: Word) {
-        let queue = self.channel_mut(from, to);
-        queue.push_back(value);
-        if queue.len() == 1 {
-            self.non_empty += 1;
-        }
-    }
-
-    /// Run the send-path checks (route + fault plan) *without* enqueueing:
-    /// the cross-shard half of [`Mailboxes::send`].  Returns the value to
-    /// stage, or `None` when the plan dropped the message in flight.
-    /// Callers that shard must gate out plans with per-send random rolls
-    /// (see [`FaultPlan::has_message_rolls`]); link outages are
-    /// deterministic and check identically here.
-    pub fn prepare_send(
-        &mut self,
-        from: usize,
-        to: usize,
-        value: Word,
-    ) -> Result<Option<Word>, MachineError> {
-        self.topology.route(from, to, self.n)?;
-        let mut value = value;
-        if let Some(plan) = self.faults.as_mut() {
-            if plan.link_down(self.cycle, from, to) {
-                return Err(MachineError::LinkDown {
-                    from,
-                    to,
-                    cycle: self.cycle,
-                });
-            }
-            if plan.should_drop() {
-                return Ok(None);
-            }
-            value = plan.corrupt(value);
-        }
-        Ok(Some(value))
-    }
-
-    /// Is at least one message queued on the `from -> to` channel?
-    pub fn has_pending(&self, to: usize, from: usize) -> bool {
-        self.slot(from, to)
-            .is_ok_and(|at| !self.queues[at].is_empty())
     }
 
     /// Are any messages still in flight?  O(1): the non-empty-channel
@@ -468,18 +377,11 @@ mod tests {
     fn the_channel_table_is_built_by_the_first_message() {
         let mut mb = Mailboxes::new(4, FabricTopology::Crossbar);
         assert_eq!(mb.recv(1, 0).unwrap(), None);
-        assert!(!mb.has_pending(1, 0) && !mb.any_pending());
-        let child = mb.split_inbound(0..2, None);
-        assert!(!child.any_pending());
-        mb.absorb(child);
         assert!(!mb.any_pending());
-        mb.deposit(0, 1, 5);
-        let child = mb.split_inbound(0..2, None);
-        assert!(child.has_pending(1, 0) && !mb.has_pending(1, 0));
-        let mut fresh = Mailboxes::new(4, FabricTopology::Crossbar);
-        fresh.absorb(child);
-        assert_eq!(fresh.recv(1, 0).unwrap(), Some(5));
-        assert!(!fresh.any_pending());
+        mb.send(0, 1, 5).unwrap();
+        assert!(mb.any_pending());
+        assert_eq!(mb.recv(1, 0).unwrap(), Some(5));
+        assert!(!mb.any_pending());
     }
 
     #[test]

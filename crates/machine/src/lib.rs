@@ -57,7 +57,6 @@ pub mod noc;
 pub mod profile;
 pub mod program;
 pub mod reconfig;
-pub mod shard;
 pub mod spatial;
 pub mod sweep;
 pub mod telemetry;
@@ -73,7 +72,7 @@ pub use fault::{FaultPlan, LinkOutage, ResilienceRow, RunOutcome};
 pub use isa::{Instr, Reg, Word};
 pub use profile::{Mark, NullProfiler, Phase, Profiled, Span, SpanProfile};
 pub use program::{Assembler, Program};
-pub use shard::configured_threads;
+pub use sweep::configured_threads;
 pub use telemetry::{
     EventClass, EventKind, EventTrace, FaultKind, Histogram, MetricsRegistry, NullTracer,
     Telemetry, TraceEvent, Tracer,

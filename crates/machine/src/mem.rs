@@ -100,12 +100,6 @@ pub struct BankedMemory {
     banks: Vec<MemoryBank>,
     bank_size: usize,
     topology: DataTopology,
-    /// First global lane this (possibly shard-local) memory serves.
-    lane_base: usize,
-    /// Lane/bank count of the full machine this memory belongs to, so a
-    /// shard split reports the same capacities and error values as the
-    /// whole (see [`BankedMemory::split_lanes`]).
-    logical_banks: usize,
 }
 
 impl BankedMemory {
@@ -115,38 +109,6 @@ impl BankedMemory {
             banks: (0..banks).map(|_| MemoryBank::new(bank_size)).collect(),
             bank_size,
             topology,
-            lane_base: 0,
-            logical_banks: banks,
-        }
-    }
-
-    /// Carve the private banks of lanes `range` out into a shard-local
-    /// memory (the banks are *moved*, leaving empty stand-ins behind).
-    /// The split memory resolves the same global lane numbers and reports
-    /// the same capacities and error values as the parent, so a shard
-    /// worker observes bit-identical memory behaviour.  Only meaningful
-    /// on [`DataTopology::PrivateBanks`]; restore with
-    /// [`BankedMemory::absorb_lanes`].
-    pub fn split_lanes(&mut self, range: std::ops::Range<usize>) -> BankedMemory {
-        debug_assert_eq!(self.topology, DataTopology::PrivateBanks);
-        debug_assert_eq!(self.lane_base, 0);
-        let banks: Vec<MemoryBank> = self.banks[range.clone()]
-            .iter_mut()
-            .map(|b| std::mem::replace(b, MemoryBank::new(0)))
-            .collect();
-        BankedMemory {
-            banks,
-            bank_size: self.bank_size,
-            topology: self.topology,
-            lane_base: range.start,
-            logical_banks: self.logical_banks,
-        }
-    }
-
-    /// Return banks taken by [`BankedMemory::split_lanes`] to the parent.
-    pub fn absorb_lanes(&mut self, child: BankedMemory) {
-        for (i, bank) in child.banks.into_iter().enumerate() {
-            self.banks[child.lane_base + i] = bank;
         }
     }
 
@@ -165,10 +127,9 @@ impl BankedMemory {
         self.bank_size
     }
 
-    /// Total capacity in words (of the full machine, even on a shard
-    /// split — so out-of-bounds errors quote identical sizes).
+    /// Total capacity in words.
     pub fn capacity(&self) -> usize {
-        self.logical_banks * self.bank_size
+        self.banks.len() * self.bank_size
     }
 
     /// Resolve which bank + offset a `(lane, address)` pair touches, or an
@@ -185,11 +146,11 @@ impl BankedMemory {
         let addr = address as usize;
         match self.topology {
             DataTopology::PrivateBanks => {
-                if lane < self.lane_base || lane - self.lane_base >= self.banks.len() {
+                if lane >= self.banks.len() {
                     return Err(MachineError::BankAccessDenied {
                         processor: lane,
                         bank: lane,
-                        reason: format!("machine has only {} banks", self.logical_banks),
+                        reason: format!("machine has only {} banks", self.banks.len()),
                     });
                 }
                 if addr >= self.bank_size {
@@ -199,7 +160,7 @@ impl BankedMemory {
                         size: self.bank_size,
                     });
                 }
-                Ok((lane - self.lane_base, addr))
+                Ok((lane, addr))
             }
             DataTopology::SharedCrossbar => {
                 let bank = addr / self.bank_size;

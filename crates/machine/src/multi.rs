@@ -15,21 +15,20 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
 use skilltax_model::{ArchSpec, Count, Link, Relation};
 
 use crate::cancel::{flag_trip, CancelToken, RunBudget};
+use crate::dp::Stalls;
 use crate::dp::{BurstEnd, DataProcessor, LocalOutcome, QUANTUM};
 use crate::error::MachineError;
 use crate::exec::Stats;
-use crate::fault::{FaultPlan, RetryState, RunOutcome, DEFAULT_MAX_RETRIES};
+use crate::fault::{FaultPlan, RetryState, RunOutcome, StallLaw, StallStream, DEFAULT_MAX_RETRIES};
 use crate::interconnect::{FabricTopology, Mailboxes};
 use crate::isa::{Instr, Word};
 use crate::mem::{BankedMemory, DataTopology};
 use crate::profile::Phase;
 use crate::program::Program;
-use crate::shard::{plan_cuts, resolve_shards, SenseBarrier, StageTracer, StagedOp};
 use crate::telemetry::{EventKind, FaultKind, NullTracer, Tracer};
 use crate::uniprocessor::DEFAULT_CYCLE_LIMIT;
 
@@ -104,6 +103,8 @@ struct Core {
     halted: bool,
     /// A pending blocked receive: (destination register, source core).
     waiting: Option<(u8, usize)>,
+    /// This run's stall stream, seeded at run start under a stall law.
+    stall: StallStream,
 }
 
 /// A MIMD multi-processor.
@@ -117,7 +118,6 @@ pub struct MultiMachine {
     mailboxes: Mailboxes,
     cycle_limit: u64,
     dense_reference: bool,
-    shards: usize,
     cancel: CancelToken,
 }
 
@@ -144,6 +144,7 @@ impl MultiMachine {
                     program: i,
                     halted: false,
                     waiting: None,
+                    stall: StallStream::default(),
                 })
                 .collect(),
             binding: (0..cores).collect(),
@@ -151,23 +152,8 @@ impl MultiMachine {
             mailboxes: Mailboxes::new(cores, fabric),
             cycle_limit: DEFAULT_CYCLE_LIMIT,
             dense_reference: false,
-            shards: 1,
             cancel: CancelToken::new(),
         }
-    }
-
-    /// Request shard-parallel execution over (up to) `shards` worker
-    /// threads (`0` = auto: the `SKILLTAX_THREADS` override, else
-    /// `available_parallelism`; `1` = single-threaded, the default).
-    ///
-    /// Sharding is bit-identical to the single-threaded schedulers —
-    /// same `Stats`, same telemetry per-class totals, same errors — and
-    /// silently falls back to them whenever a run cannot shard (shared
-    /// data memory, per-cycle or per-send fault rolls, rebound lanes, or
-    /// message flows that forbid every cut; see DESIGN.md §10).
-    pub fn with_shards(mut self, shards: usize) -> MultiMachine {
-        self.shards = shards;
-        self
     }
 
     /// Override the livelock guard.
@@ -179,10 +165,9 @@ impl MultiMachine {
     /// Install a cancellation token for subsequent runs.  A deadline
     /// stops the run after exactly that many simulated cycles, with
     /// partial [`Stats`] bit-identical across the dense, event and
-    /// sharded schedulers; the asynchronous flag stops promptly but at no
-    /// promised cycle (polled per cycle by the dense and event loops,
-    /// once per quantum by the decoupled path, once per slice by the
-    /// shard coordinator).
+    /// decoupled schedulers; the asynchronous flag stops promptly but at
+    /// no promised cycle (polled per cycle by the dense and event loops,
+    /// once per quantum by the decoupled path).
     pub fn with_cancel(mut self, cancel: CancelToken) -> MultiMachine {
         self.cancel = cancel;
         self
@@ -382,9 +367,7 @@ impl MultiMachine {
     ///
     /// Dispatches to the event-driven scheduler unless the dense
     /// reference loop was requested or the plan rolls the PRNG on every
-    /// cycle (which skipping cycles would desynchronise).  When
-    /// [`MultiMachine::with_shards`] asked for parallelism and the run is
-    /// shardable, the shard-parallel runner takes over instead.  The event
+    /// cycle (which skipping cycles would desynchronise).  The event
     /// scheduler itself hands untraced interaction-free runs to the
     /// temporally decoupled path.
     fn execute_with<T: Tracer>(
@@ -396,72 +379,35 @@ impl MultiMachine {
     ) -> Result<RunOutcome, MachineError> {
         if self.dense_reference || faults.as_ref().is_some_and(FaultPlan::has_per_cycle_rolls) {
             self.execute_dense(library, assignment, faults, tracer)
-        } else if let Some(cuts) = self.shard_partition(library, assignment, faults.as_ref()) {
-            self.execute_sharded(library, assignment, faults, &cuts, tracer)
         } else {
             self.execute_event(library, assignment, faults, tracer)
         }
     }
 
-    /// Decide whether this run can shard, and into which contiguous core
-    /// ranges.  Returns the shard start indices, or `None` to fall back
-    /// to the single-threaded event scheduler.
-    ///
-    /// A run shards only when every condition below holds; each is a
-    /// determinism requirement, not a tuning choice (DESIGN.md §10):
-    ///
-    /// * more than one shard resolves from the knob;
-    /// * private memory banks (a shared crossbar serialises every access
-    ///   globally);
-    /// * the identity IP→DP binding (rebinding mixes lane ownership
-    ///   across shards);
-    /// * no per-send fault rolls on the plan, and no stale mailbox plan
-    ///   from an earlier faulted run when this run carries none;
-    /// * a legal cut exists: a shard boundary may not split a *forward*
-    ///   message edge (sender index < receiver index), because the dense
-    ///   order makes such a message visible to the receiver in the same
-    ///   cycle, which cross-shard staging cannot reproduce.  Backward
-    ///   edges shard freely — their receivers run before the sender in
-    ///   dense order, so delivery always lands a cycle later anyway.
-    fn shard_partition(
-        &self,
-        library: &[&Program],
+    /// Put every core at the start of `assignment`, hand the mailboxes a
+    /// fork of the plan, and, when the plan has a stall rate, seed each
+    /// core's stall stream from `(dp, core)` and return the run's stall
+    /// law (DESIGN.md §7).
+    fn start_run(
+        &mut self,
         assignment: &[usize],
-        faults: Option<&FaultPlan>,
-    ) -> Option<Vec<usize>> {
-        if self.shards == 1 {
-            return None;
-        }
-        let shards = resolve_shards(self.shards);
-        if shards < 2 {
-            return None;
-        }
-        if self.mem.topology() != DataTopology::PrivateBanks {
-            return None;
-        }
-        if self.binding.iter().enumerate().any(|(i, &b)| i != b) {
-            return None;
-        }
-        match faults {
-            Some(plan) if plan.has_message_rolls() => return None,
-            None if self.mailboxes.has_fault_plan() => return None,
-            _ => {}
-        }
-        let n = self.cores.len();
-        let mut allowed = vec![true; n];
-        allowed[0] = false;
-        for (i, &prog) in assignment.iter().enumerate() {
-            for instr in library[prog].instrs() {
-                if let Instr::Send(dest, _) = *instr {
-                    if i < dest && dest < n {
-                        for slot in &mut allowed[i + 1..=dest] {
-                            *slot = false;
-                        }
-                    }
-                }
+        faults: Option<&mut FaultPlan>,
+    ) -> Option<StallLaw> {
+        let law = faults.and_then(|plan| {
+            self.mailboxes.install_faults(plan.fork());
+            let law = plan.stall_law()?;
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                core.stall = plan.stall_stream(self.binding[i], i);
             }
+            Some(law)
+        });
+        for (core, &prog) in self.cores.iter_mut().zip(assignment) {
+            core.pc = 0;
+            core.program = prog;
+            core.halted = false;
+            core.waiting = None;
         }
-        plan_cuts(n, shards, &allowed)
+        law
     }
 
     /// The dense reference loop: every core is visited on every cycle.
@@ -475,15 +421,7 @@ impl MultiMachine {
         mut faults: Option<FaultPlan>,
         tracer: &mut T,
     ) -> Result<RunOutcome, MachineError> {
-        if let Some(plan) = faults.as_mut() {
-            self.mailboxes.install_faults(plan.fork());
-        }
-        for (core, &prog) in self.cores.iter_mut().zip(assignment) {
-            core.pc = 0;
-            core.program = prog;
-            core.halted = false;
-            core.waiting = None;
-        }
+        let law = self.start_run(assignment, faults.as_mut());
         let mut stats = Stats::default();
         let mut retries: u64 = 0;
         let n = self.cores.len();
@@ -548,19 +486,20 @@ impl MultiMachine {
                     }
                     continue;
                 }
-                // A transient injected stall holds the core at its fetch
-                // stage for the cycle; it counts as forward progress in
-                // the deadlock sense (it always ends).  The query sits
-                // exactly here — after the backoff and blocked-receive
-                // checks — so every scheduler asks the same (cycle, dp)
-                // set: the stall roll is a pure hash, and dense, event
-                // and sharded runs all reach this point for exactly the
-                // cores that are about to fetch.
-                if let Some(plan) = faults.as_mut() {
-                    if plan.dp_stalled(stats.cycles, self.binding[i]) {
+                // A transient injected stall run holds the core at its
+                // fetch stage, one cycle at a time here; it counts as
+                // forward progress in the deadlock sense (it always
+                // ends).  The core draws the run when it first reaches
+                // this point for a fetch — after the backoff and
+                // blocked-receive checks — which every scheduler
+                // reproduces, so all of them draw the same runs.
+                if let (Some(law), Some(plan)) = (&law, faults.as_mut()) {
+                    let cycle = stats.cycles;
+                    if self.cores[i].stall.fetch_at(law, cycle, budget.limit()) > cycle {
+                        plan.charge_stalls(1);
                         stats.stalls += 1;
-                        tracer.record(stats.cycles, EventKind::FaultInjected(FaultKind::Stall));
-                        tracer.record(stats.cycles, EventKind::Stall);
+                        tracer.record(cycle, EventKind::FaultInjected(FaultKind::Stall));
+                        tracer.record(cycle, EventKind::Stall);
                         progress = true;
                         continue;
                     }
@@ -681,16 +620,19 @@ impl MultiMachine {
     ///
     /// * `active` — cores that may act this cycle, kept sorted
     ///   ascending so within-cycle effects replay in dense core order;
-    /// * `sleeping` — cores in retry backoff, keyed by their
-    ///   deterministic wake cycle (a min-heap on `next_attempt`);
-    /// * `blocked` — cores parked on an empty receive, woken by the
-    ///   next matching send; their one-stall-per-cycle accounting is
-    ///   deferred and settled in bulk from `blocked_since`.
+    /// * sleeping ([`Parking`]) — cores in retry backoff or in an
+    ///   injected stall run, keyed by their deterministic wake cycle (a
+    ///   min-heap on `next_attempt` or on the fetch cycle the run ends
+    ///   at);
+    /// * blocked ([`Parking`]) — cores parked on an empty receive, woken
+    ///   by the next matching send.
     ///
+    /// A parked core stalls once per cycle in the dense loop; here that
+    /// accounting is deferred and settled in bulk with
+    /// [`Tracer::record_many`] when the core resumes or the run ends.
     /// When `active` drains, the cycle counter time-warps straight to
-    /// the earliest wake and the skipped stall cycles are bulk-recorded
-    /// with [`Tracer::record_many`], so the dense loop's counters are
-    /// reproduced exactly (see DESIGN.md §9 for the invariants).
+    /// the earliest wake, so the dense loop's counters are reproduced
+    /// exactly (see DESIGN.md §9 for the invariants).
     fn execute_event<T: Tracer>(
         &mut self,
         library: &[&Program],
@@ -698,15 +640,7 @@ impl MultiMachine {
         mut faults: Option<FaultPlan>,
         tracer: &mut T,
     ) -> Result<RunOutcome, MachineError> {
-        if let Some(plan) = faults.as_mut() {
-            self.mailboxes.install_faults(plan.fork());
-        }
-        for (core, &prog) in self.cores.iter_mut().zip(assignment) {
-            core.pc = 0;
-            core.program = prog;
-            core.halted = false;
-            core.waiting = None;
-        }
+        let law = self.start_run(assignment, faults.as_mut());
         let mut stats = Stats::default();
         let mut retries: u64 = 0;
         let n = self.cores.len();
@@ -726,27 +660,34 @@ impl MultiMachine {
         } else {
             (0..n).collect()
         };
-        let mut sleeping: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut blocked: Vec<(usize, u64)> = Vec::new();
+        let mut parking = Parking::default();
 
         tracer.span_enter(0, Phase::Run);
         tracer.span_enter(0, Phase::Decode);
         tracer.span_exit(0);
         tracer.span_enter(0, Phase::Slice);
         if decoupled {
-            self.execute_decoupled(library, faults.as_mut(), budget, &mut stats, tracer)?;
+            self.execute_decoupled(
+                library,
+                faults.as_mut(),
+                law.as_ref(),
+                budget,
+                &mut stats,
+                tracer,
+            )?;
         }
         loop {
-            if active.is_empty() && sleeping.is_empty() && blocked.is_empty() {
+            if active.is_empty() && parking.is_empty() {
                 break; // every core halted
             }
             if self.cancel.flag_raised() {
+                parking.settle_through(stats.cycles, &mut stats, faults.as_mut(), tracer);
                 return Err(flag_trip(stats.cycles, stats, tracer));
             }
             // The next cycle where the dense loop would do real work:
             // the very next one while anything is runnable, otherwise
-            // the earliest backoff wake.
-            let next = if let Some(&Reverse((wake, _))) = sleeping.peek() {
+            // the earliest wake.
+            let next = if let Some(wake) = parking.next_wake() {
                 if active.is_empty() {
                     wake
                 } else {
@@ -757,11 +698,11 @@ impl MultiMachine {
                 // per cycle with no progress: watchdog if the budget is
                 // already spent, deadlock on the very next cycle else.
                 if stats.cycles >= limit {
-                    flush_blocked_through(&blocked, limit, &mut stats, tracer);
+                    parking.settle_through(limit, &mut stats, faults.as_mut(), tracer);
                     return Err(budget.trip(stats.cycles, stats, tracer));
                 }
                 let cycle = stats.cycles + 1;
-                flush_blocked_through(&blocked, cycle, &mut stats, tracer);
+                parking.settle_through(cycle, &mut stats, faults.as_mut(), tracer);
                 return Err(MachineError::Deadlock { cycle });
             } else {
                 stats.cycles + 1
@@ -770,23 +711,11 @@ impl MultiMachine {
                 // Dense burns the rest of the budget stalling the
                 // sleepers and blocked receivers, then trips the
                 // watchdog.
-                let span = limit - stats.cycles;
-                let dormant = sleeping.len() as u64;
-                if span > 0 && dormant > 0 {
-                    stats.stalls += span * dormant;
-                    tracer.record_many(limit, EventKind::Stall, span * dormant);
-                }
-                flush_blocked_through(&blocked, limit, &mut stats, tracer);
+                parking.settle_through(limit, &mut stats, faults.as_mut(), tracer);
                 stats.cycles = limit;
                 return Err(budget.trip(limit, stats, tracer));
             }
-            // Time-warp over the cycles nobody can use; dense stalls
-            // every sleeping core once per skipped cycle.
-            let skipped = next - stats.cycles - 1;
-            if skipped > 0 {
-                let dormant = sleeping.len() as u64;
-                stats.stalls += skipped * dormant;
-                tracer.record_many(next - 1, EventKind::Stall, skipped * dormant);
+            if next - stats.cycles > 1 {
                 // The warped-over cycles are their own leaf span, so the
                 // Slice/Warp alternation still tiles [0, cycles] exactly.
                 tracer.span_exit(stats.cycles);
@@ -796,22 +725,10 @@ impl MultiMachine {
             }
             stats.cycles = next;
             self.mailboxes.set_cycle(next);
-            while let Some(&Reverse((wake, core))) = sleeping.peek() {
-                if wake > next {
-                    break;
-                }
-                sleeping.pop();
-                let pos = active.partition_point(|&c| c < core);
-                active.insert(pos, core);
-            }
-            // Cores still backing off stall this cycle (dense `!ready`),
-            // which also counts as forward progress there.
-            let dormant = sleeping.len() as u64;
-            let mut progress = dormant > 0;
-            if dormant > 0 {
-                stats.stalls += dormant;
-                tracer.record_many(next, EventKind::Stall, dormant);
-            }
+            parking.wake(next, &mut active, &mut stats, faults.as_mut(), tracer);
+            // Cores still sleeping stall this cycle (dense `!ready`, or
+            // a stall run), which also counts as forward progress there.
+            let mut progress = parking.sleepers() > 0;
             let cycle = stats.cycles;
             let mut idx = 0;
             while idx < active.len() {
@@ -838,25 +755,44 @@ impl MultiMachine {
                             stats.stalls += 1;
                             tracer.record(cycle, EventKind::Stall);
                             active.remove(idx);
-                            blocked.push((i, cycle + 1));
+                            parking.blocked.push(Parked {
+                                core: i,
+                                since: cycle + 1,
+                                faulted: false,
+                            });
                         }
                         Err(e) => {
-                            flush_blocked_on_error(&blocked, i, cycle, &mut stats, tracer);
+                            parking.settle_on_error(i, cycle, &mut stats, faults.as_mut(), tracer);
                             return Err(e);
                         }
                     }
                     continue;
                 }
-                // Same fetch-stage stall query as the dense loop: the
-                // active set holds exactly the cores dense would walk to
-                // this point, so the (cycle, dp) query set matches.
-                if let Some(plan) = faults.as_mut() {
-                    if plan.dp_stalled(cycle, self.binding[i]) {
+                // Same fetch stage as the dense loop: the active set holds
+                // exactly the cores dense would walk to this point.  The
+                // run's first cycle is charged live; a longer run puts
+                // the core to sleep until the cycle it fetches on.
+                if let (Some(law), Some(plan)) = (&law, faults.as_mut()) {
+                    let at = self.cores[i].stall.fetch_at(law, cycle, limit);
+                    if at > cycle {
+                        plan.charge_stalls(1);
                         stats.stalls += 1;
                         tracer.record(cycle, EventKind::FaultInjected(FaultKind::Stall));
                         tracer.record(cycle, EventKind::Stall);
                         progress = true;
-                        idx += 1;
+                        if at > cycle + 1 {
+                            active.remove(idx);
+                            parking.sleep(
+                                at,
+                                Parked {
+                                    core: i,
+                                    since: cycle + 1,
+                                    faulted: true,
+                                },
+                            );
+                        } else {
+                            idx += 1;
+                        }
                         continue;
                     }
                 }
@@ -869,7 +805,7 @@ impl MultiMachine {
                 };
                 match instr {
                     Instr::GetLane(..) => {
-                        flush_blocked_on_error(&blocked, i, cycle, &mut stats, tracer);
+                        parking.settle_on_error(i, cycle, &mut stats, faults.as_mut(), tracer);
                         return Err(MachineError::unsupported(
                             self.subtype.class_name(),
                             "getlane is a lockstep-SIMD exchange; independent cores \
@@ -878,7 +814,7 @@ impl MultiMachine {
                     }
                     Instr::Send(dest, rs) => {
                         if dest >= n {
-                            flush_blocked_on_error(&blocked, i, cycle, &mut stats, tracer);
+                            parking.settle_on_error(i, cycle, &mut stats, faults.as_mut(), tracer);
                             return Err(MachineError::RouteDenied {
                                 from: i,
                                 to: dest,
@@ -902,8 +838,8 @@ impl MultiMachine {
                                 // woken core re-checks, stalls once live
                                 // and parks again — exactly dense.
                                 let mut b = 0;
-                                while b < blocked.len() {
-                                    let (w, since) = blocked[b];
+                                while b < parking.blocked.len() {
+                                    let Parked { core: w, since, .. } = parking.blocked[b];
                                     let listening = self.cores[w]
                                         .waiting
                                         .is_some_and(|(_, wsrc)| self.binding[wsrc] == from)
@@ -912,7 +848,7 @@ impl MultiMachine {
                                         b += 1;
                                         continue;
                                     }
-                                    blocked.swap_remove(b);
+                                    parking.blocked.swap_remove(b);
                                     if since <= cycle {
                                         // Cores before the sender also
                                         // stalled earlier this cycle.
@@ -937,8 +873,12 @@ impl MultiMachine {
                                 let delay = match retry[i].back_off(cycle, from, to, max_retries) {
                                     Ok(delay) => delay,
                                     Err(e) => {
-                                        flush_blocked_on_error(
-                                            &blocked, i, cycle, &mut stats, tracer,
+                                        parking.settle_on_error(
+                                            i,
+                                            cycle,
+                                            &mut stats,
+                                            faults.as_mut(),
+                                            tracer,
                                         );
                                         return Err(e);
                                     }
@@ -957,20 +897,33 @@ impl MultiMachine {
                                     // straight from the backoff state —
                                     // never re-rolled.
                                     active.remove(idx);
-                                    sleeping.push(Reverse((retry[i].next_attempt, i)));
+                                    parking.sleep(
+                                        retry[i].next_attempt,
+                                        Parked {
+                                            core: i,
+                                            since: cycle + 1,
+                                            faulted: false,
+                                        },
+                                    );
                                 } else {
                                     idx += 1;
                                 }
                             }
                             Err(other) => {
-                                flush_blocked_on_error(&blocked, i, cycle, &mut stats, tracer);
+                                parking.settle_on_error(
+                                    i,
+                                    cycle,
+                                    &mut stats,
+                                    faults.as_mut(),
+                                    tracer,
+                                );
                                 return Err(other);
                             }
                         }
                     }
                     Instr::Recv(rd, src) => {
                         if src >= n {
-                            flush_blocked_on_error(&blocked, i, cycle, &mut stats, tracer);
+                            parking.settle_on_error(i, cycle, &mut stats, faults.as_mut(), tracer);
                             return Err(MachineError::RouteDenied {
                                 from: src,
                                 to: i,
@@ -985,7 +938,7 @@ impl MultiMachine {
                                 .topology()
                                 .route(self.binding[src], self.binding[i], n)
                         {
-                            flush_blocked_on_error(&blocked, i, cycle, &mut stats, tracer);
+                            parking.settle_on_error(i, cycle, &mut stats, faults.as_mut(), tracer);
                             return Err(e);
                         }
                         self.cores[i].waiting = Some((rd, src));
@@ -1014,7 +967,13 @@ impl MultiMachine {
                                 active.remove(idx);
                             }
                             Err(e) => {
-                                flush_blocked_on_error(&blocked, i, cycle, &mut stats, tracer);
+                                parking.settle_on_error(
+                                    i,
+                                    cycle,
+                                    &mut stats,
+                                    faults.as_mut(),
+                                    tracer,
+                                );
                                 return Err(e);
                             }
                         }
@@ -1025,7 +984,7 @@ impl MultiMachine {
             if !progress {
                 // Just-parked cores carry `since == cycle + 1`: their
                 // stall this cycle was already charged live.
-                flush_blocked_through(&blocked, cycle, &mut stats, tracer);
+                parking.settle_through(cycle, &mut stats, faults.as_mut(), tracer);
                 return Err(MachineError::Deadlock { cycle });
             }
         }
@@ -1050,7 +1009,7 @@ impl MultiMachine {
     /// on another core), and no lane driven by two cores that both touch
     /// memory (a rebound IP shares its lane's bank with the lane's own
     /// IP).  Per-cycle fault rolls are excluded before the event
-    /// scheduler is reached; hashed stalls are order-independent.
+    /// scheduler is reached; stall runs come from each core's own stream.
     fn interaction_free(&self, library: &[&Program], assignment: &[usize]) -> bool {
         if self.mem.topology() != DataTopology::PrivateBanks {
             return false;
@@ -1079,13 +1038,17 @@ impl MultiMachine {
     /// quantum boundary when they are taken), the same fault counts, and
     /// the same error — the earliest `(cycle, core)`, because once a core
     /// fails at cycle `e` later cores only run through `e - 1`.  The
-    /// cancellation flag is polled once per quantum.  Architectural state
-    /// after an error is unspecified: cores before the failing one may
-    /// have run past its cycle.
+    /// cancellation flag is polled once per quantum.  A core's stall runs
+    /// come from its own stream, so running it alone draws exactly the
+    /// runs the dense loop draws; a run that crosses the quantum boundary
+    /// stays with the stream.  Architectural state after an error is
+    /// unspecified: cores before the failing one may have run past its
+    /// cycle.
     fn execute_decoupled<T: Tracer>(
         &mut self,
         library: &[&Program],
         mut faults: Option<&mut FaultPlan>,
+        law: Option<&StallLaw>,
         budget: RunBudget,
         stats: &mut Stats,
         tracer: &mut T,
@@ -1114,17 +1077,26 @@ impl MultiMachine {
                     cycles: start,
                     ..Stats::default()
                 };
+                let stalls = law.map(|law| Stalls {
+                    law,
+                    stream: &mut core.stall,
+                    limit,
+                });
                 let end = core.dp.run_burst(
                     library[core.program],
                     &mut core.pc,
                     &mut self.mem,
                     &mut clock,
                     horizon,
-                    faults.as_deref_mut(),
+                    stalls,
                     tracer,
                 );
                 stats.instructions += clock.instructions;
                 stats.stalls += clock.stalls;
+                // Every stall a burst charges is an injected one.
+                if let Some(plan) = faults.as_deref_mut() {
+                    plan.charge_stalls(clock.stalls);
+                }
                 match end {
                     Ok(BurstEnd::Bound) => continue,
                     Ok(BurstEnd::Halt) => last = last.max(clock.cycles),
@@ -1169,530 +1141,6 @@ impl MultiMachine {
                 tracer.sample("dp.mem_ops", (mr - b_mr) + (mw - b_mw));
             }
         }
-    }
-
-    /// The shard-parallel runner: a bulk-synchronous mirror of
-    /// [`MultiMachine::execute_dense`], advanced one cycle-slice at a
-    /// time (PR 4 proved the dense loop counter-identical to the event
-    /// scheduler, so mirroring it transitively matches both).
-    ///
-    /// Cores are partitioned into the contiguous shards given by `cuts`;
-    /// each worker thread owns its shard's cores, retry states, private
-    /// memory banks and the inbound half of its mailbox channels.  Every
-    /// slice:
-    ///
-    /// 1. the coordinator publishes the next cycle — possibly warping
-    ///    over cycles where no core can act, charging each dormant core
-    ///    one stall per skipped cycle exactly like the dense loop would;
-    /// 2. workers deposit cross-shard messages staged by the previous
-    ///    slice, then run the dense per-core body over their own cores,
-    ///    staging tracer calls and outbound cross-shard sends;
-    /// 3. at the barrier the coordinator commits every report in
-    ///    ascending shard order — which *is* dense core order — so
-    ///    `Stats`, telemetry per-class totals, errors and fault
-    ///    behaviour come out bit-identical to the single-threaded
-    ///    schedulers (DESIGN.md §10).
-    ///
-    /// On an error the erring shard stops its scan at the faulting core;
-    /// shards before it commit their whole slice, shards after it only
-    /// their warp charges, because the dense loop never reaches their
-    /// cores on the error cycle.
-    fn execute_sharded<T: Tracer>(
-        &mut self,
-        library: &[&Program],
-        assignment: &[usize],
-        mut faults: Option<FaultPlan>,
-        cuts: &[usize],
-        tracer: &mut T,
-    ) -> Result<RunOutcome, MachineError> {
-        let n = self.cores.len();
-        let k = cuts.len();
-        let mut shard_plans: Vec<Option<FaultPlan>> = Vec::with_capacity(k);
-        if let Some(plan) = faults.as_mut() {
-            let mut master = plan.fork();
-            for _ in 0..k {
-                shard_plans.push(Some(master.fork()));
-            }
-            // Leave a plan installed like the single-threaded paths do.
-            // It never rolls or injects here: shardable plans are
-            // roll-free on the send path and the parent sends nothing.
-            self.mailboxes.install_faults(master);
-        } else {
-            shard_plans.resize_with(k, || None);
-        }
-        for (core, &prog) in self.cores.iter_mut().zip(assignment) {
-            core.pc = 0;
-            core.program = prog;
-            core.halted = false;
-            core.waiting = None;
-        }
-        let base_counters: Vec<(u64, u64, u64)> =
-            self.cores.iter().map(|c| c.dp.counters()).collect();
-        let max_retries = faults
-            .as_ref()
-            .map_or(DEFAULT_MAX_RETRIES, FaultPlan::max_retries);
-        let budget = RunBudget::resolve(self.cycle_limit, &self.cancel);
-        let limit = budget.limit();
-        let cancel = self.cancel.clone();
-        let subtype = self.subtype;
-        let live = tracer.enabled();
-
-        // Carve the machine into per-shard state: disjoint `&mut` slices
-        // of the cores and retry states, plus owned memory banks and
-        // inbound mailbox channels that return at the end of the run.
-        let mut retry = vec![RetryState::default(); n];
-        type Seat<'m> = (
-            usize,
-            &'m mut [Core],
-            &'m mut [RetryState],
-            BankedMemory,
-            Mailboxes,
-            Option<FaultPlan>,
-        );
-        let mut seats: Vec<Seat<'_>> = Vec::with_capacity(k);
-        {
-            let mut cores_rest: &mut [Core] = &mut self.cores;
-            let mut retry_rest: &mut [RetryState] = &mut retry;
-            for (s, plan) in shard_plans.into_iter().enumerate() {
-                let start = cuts[s];
-                let end = cuts.get(s + 1).copied().unwrap_or(n);
-                let (cores_here, cores_tail) = cores_rest.split_at_mut(end - start);
-                cores_rest = cores_tail;
-                let (retry_here, retry_tail) = retry_rest.split_at_mut(end - start);
-                retry_rest = retry_tail;
-                let mem = self.mem.split_lanes(start..end);
-                let mb = self.mailboxes.split_inbound(start..end, plan);
-                // Each seat gets its own fork for the fetch-stage stall
-                // query: the stall decision is a pure hash of the seed
-                // and `(cycle, dp)`, so the forks agree with the dense
-                // loop's single plan; their injected counts sum to it.
-                let stall_plan = faults.as_mut().map(FaultPlan::fork);
-                seats.push((start, cores_here, retry_here, mem, mb, stall_plan));
-            }
-        }
-        let barrier = SenseBarrier::new(k + 1);
-        let decision = Mutex::new(SliceDecision::Stop);
-        let slots: Vec<Mutex<SliceReport>> =
-            (0..k).map(|_| Mutex::new(SliceReport::default())).collect();
-        let staging: Vec<Mutex<Vec<(usize, usize, Word)>>> =
-            (0..k).map(|_| Mutex::new(Vec::new())).collect();
-
-        let (run_result, mut stats, retries_total, children) = std::thread::scope(|scope| {
-            let handles: Vec<_> = seats
-                .into_iter()
-                .enumerate()
-                .map(
-                    |(s, (base, cores, retry_slice, mut mem, mut mb, mut stall_plan))| {
-                        let barrier = &barrier;
-                        let decision = &decision;
-                        let slot = &slots[s];
-                        let staging_slot = &staging[s];
-                        scope.spawn(move || {
-                            let mut sense = false;
-                            let mut stage = StageTracer {
-                                live,
-                                ops: Vec::new(),
-                            };
-                            let shard_len = cores.len();
-                            loop {
-                                barrier.wait(&mut sense);
-                                let SliceDecision::Run { cycle, skipped } =
-                                    *decision.lock().expect("decision lock")
-                                else {
-                                    break;
-                                };
-                                {
-                                    let mut inbound = staging_slot.lock().expect("staging lock");
-                                    for (from, to, value) in inbound.drain(..) {
-                                        mb.deposit(from, to, value);
-                                    }
-                                }
-                                let mut report = slot.lock().expect("report lock");
-                                stage.ops = std::mem::take(&mut report.ops);
-                                let mut outbox = std::mem::take(&mut report.outbox);
-                                let mut pre_stalls = 0u64;
-                                if skipped > 0 {
-                                    let dormant = cores.iter().filter(|c| !c.halted).count() as u64;
-                                    if dormant > 0 {
-                                        pre_stalls = skipped * dormant;
-                                        stage.record_many(cycle - 1, EventKind::Stall, pre_stalls);
-                                    }
-                                }
-                                let pre_len = stage.ops.len();
-                                mb.set_cycle(cycle);
-                                let mut scan = Stats::default();
-                                let mut retries = 0u64;
-                                let mut progress = false;
-                                let mut error: Option<MachineError> = None;
-                                'scan: for j in 0..shard_len {
-                                    let i = base + j;
-                                    if cores[j].halted {
-                                        continue;
-                                    }
-                                    if !retry_slice[j].ready(cycle) {
-                                        scan.stalls += 1;
-                                        stage.record(cycle, EventKind::Stall);
-                                        progress = true;
-                                        continue;
-                                    }
-                                    if let Some((rd, src)) = cores[j].waiting {
-                                        match mb.recv(i, src) {
-                                            Ok(Some(v)) => {
-                                                cores[j].dp.set_reg(rd, v);
-                                                cores[j].waiting = None;
-                                                cores[j].pc += 1;
-                                                scan.messages += 1;
-                                                stage.record(
-                                                    cycle,
-                                                    EventKind::Message { from: src, to: i },
-                                                );
-                                                stage.record(cycle, EventKind::CrossbarTraversal);
-                                                progress = true;
-                                            }
-                                            Ok(None) => {
-                                                scan.stalls += 1;
-                                                stage.record(cycle, EventKind::Stall);
-                                            }
-                                            Err(e) => {
-                                                error = Some(e);
-                                                break 'scan;
-                                            }
-                                        }
-                                        continue;
-                                    }
-                                    // Same fetch-stage stall query as the
-                                    // dense loop (sharding binds lane i to
-                                    // core i, so `i` is the dp index).
-                                    if let Some(plan) = stall_plan.as_mut() {
-                                        if plan.dp_stalled(cycle, i) {
-                                            scan.stalls += 1;
-                                            stage.record(
-                                                cycle,
-                                                EventKind::FaultInjected(FaultKind::Stall),
-                                            );
-                                            stage.record(cycle, EventKind::Stall);
-                                            progress = true;
-                                            continue;
-                                        }
-                                    }
-                                    let program = library[cores[j].program];
-                                    let Some(instr) = program.fetch(cores[j].pc) else {
-                                        cores[j].halted = true;
-                                        progress = true;
-                                        continue;
-                                    };
-                                    match instr {
-                                        Instr::GetLane(..) => {
-                                            error = Some(MachineError::unsupported(
-                                                subtype.class_name(),
-                                                "getlane is a lockstep-SIMD exchange; independent \
-                                             cores communicate with send/recv",
-                                            ));
-                                            break 'scan;
-                                        }
-                                        Instr::Send(dest, rs) => {
-                                            if dest >= n {
-                                                error = Some(MachineError::RouteDenied {
-                                                    from: i,
-                                                    to: dest,
-                                                    reason: format!(
-                                                        "destination {dest} out of range"
-                                                    ),
-                                                });
-                                                break 'scan;
-                                            }
-                                            let value = cores[j].dp.reg(rs);
-                                            let sent = if dest >= base && dest < base + shard_len {
-                                                mb.send(i, dest, value)
-                                            } else {
-                                                // Cross-shard: run the send-path
-                                                // checks locally, stage delivery
-                                                // for the barrier.
-                                                mb.prepare_send(i, dest, value).map(|staged| {
-                                                    if let Some(v) = staged {
-                                                        outbox.push((i, dest, v));
-                                                    }
-                                                })
-                                            };
-                                            match sent {
-                                                Ok(()) => {
-                                                    retry_slice[j] = RetryState::default();
-                                                    cores[j].pc += 1;
-                                                    scan.instructions += 1;
-                                                    stage.record(cycle, EventKind::Issue);
-                                                    progress = true;
-                                                }
-                                                Err(MachineError::LinkDown {
-                                                    from, to, ..
-                                                }) => {
-                                                    match retry_slice[j].back_off(
-                                                        cycle,
-                                                        from,
-                                                        to,
-                                                        max_retries,
-                                                    ) {
-                                                        Ok(delay) => {
-                                                            retries += 1;
-                                                            scan.stalls += 1;
-                                                            stage.record(
-                                                                cycle,
-                                                                EventKind::FaultInjected(
-                                                                    FaultKind::LinkDown,
-                                                                ),
-                                                            );
-                                                            stage.record(cycle, EventKind::Retry);
-                                                            stage.record(cycle, EventKind::Stall);
-                                                            stage.counter("retries", 1);
-                                                            stage.sample("backoff.delay", delay);
-                                                            progress = true;
-                                                        }
-                                                        Err(e) => {
-                                                            error = Some(e);
-                                                            break 'scan;
-                                                        }
-                                                    }
-                                                }
-                                                Err(other) => {
-                                                    error = Some(other);
-                                                    break 'scan;
-                                                }
-                                            }
-                                        }
-                                        Instr::Recv(rd, src) => {
-                                            if src >= n {
-                                                error = Some(MachineError::RouteDenied {
-                                                    from: src,
-                                                    to: i,
-                                                    reason: format!("source {src} out of range"),
-                                                });
-                                                break 'scan;
-                                            }
-                                            if let Err(e) = mb.topology().route(src, i, n) {
-                                                error = Some(e);
-                                                break 'scan;
-                                            }
-                                            cores[j].waiting = Some((rd, src));
-                                            scan.instructions += 1;
-                                            stage.record(cycle, EventKind::Issue);
-                                            progress = true;
-                                        }
-                                        _ => {
-                                            scan.instructions += 1;
-                                            stage.record(cycle, EventKind::Issue);
-                                            match cores[j]
-                                                .dp
-                                                .execute_traced(instr, &mut mem, cycle, &mut stage)
-                                            {
-                                                Ok(LocalOutcome::Next) => cores[j].pc += 1,
-                                                Ok(LocalOutcome::Branch(t)) => cores[j].pc = t,
-                                                Ok(LocalOutcome::Halt) => cores[j].halted = true,
-                                                Err(e) => {
-                                                    error = Some(e);
-                                                    break 'scan;
-                                                }
-                                            }
-                                            progress = true;
-                                        }
-                                    }
-                                }
-                                let mut can_act = false;
-                                let mut min_wake: Option<u64> = None;
-                                let mut non_halted = 0u64;
-                                for (j, core) in cores.iter().enumerate() {
-                                    if core.halted {
-                                        continue;
-                                    }
-                                    non_halted += 1;
-                                    if let Some((_, src)) = core.waiting {
-                                        if mb.has_pending(base + j, src) {
-                                            can_act = true;
-                                        }
-                                    } else if retry_slice[j].ready(cycle + 1) {
-                                        can_act = true;
-                                    } else {
-                                        let wake = retry_slice[j].next_attempt;
-                                        min_wake =
-                                            Some(min_wake.map_or(wake, |w: u64| w.min(wake)));
-                                    }
-                                }
-                                report.pre_len = pre_len;
-                                report.pre_stalls = pre_stalls;
-                                report.scan = scan;
-                                report.retries = retries;
-                                report.progress = progress;
-                                report.error = error;
-                                report.can_act = can_act;
-                                report.min_wake = min_wake;
-                                report.non_halted = non_halted;
-                                report.ops = std::mem::take(&mut stage.ops);
-                                report.outbox = outbox;
-                                drop(report);
-                                barrier.wait(&mut sense);
-                            }
-                            (mem, mb, stall_plan)
-                        })
-                    },
-                )
-                .collect();
-
-            let mut sense = false;
-            let mut stats = Stats::default();
-            let mut retries_total: u64 = 0;
-            let shard_of = |core: usize| match cuts.binary_search(&core) {
-                Ok(s) => s,
-                Err(s) => s - 1,
-            };
-            // The aggregates of the previous slice drive the next
-            // decision; the seeds below force the first slice to run
-            // cycle 1, as the dense loop does.
-            let mut agg_can_act = true;
-            let mut agg_staged = false;
-            let mut agg_min_wake: Option<u64> = None;
-            let mut agg_all_halted = false;
-            let mut agg_non_halted = n as u64;
-            // Spans are coordinator-side only: workers stage their tracer
-            // calls, so the coordinator owns the one coherent timeline.
-            tracer.span_enter(0, Phase::Run);
-            tracer.span_enter(0, Phase::Decode);
-            tracer.span_exit(0);
-            tracer.span_enter(0, Phase::Slice);
-            let run_result: Result<(), MachineError> = loop {
-                if agg_all_halted {
-                    break Ok(());
-                }
-                // Only the single-threaded coordinator polls the flag —
-                // once per slice decision — so workers stay deterministic
-                // within a slice.
-                if cancel.flag_raised() {
-                    break Err(flag_trip(stats.cycles, stats, tracer));
-                }
-                if stats.cycles >= limit {
-                    break Err(budget.trip(stats.cycles, stats, tracer));
-                }
-                let (next, skipped) = if agg_can_act || agg_staged {
-                    (stats.cycles + 1, 0)
-                } else if let Some(wake) = agg_min_wake {
-                    if wake > limit {
-                        // Dense burns the rest of the budget stalling
-                        // every dormant core, then trips the watchdog.
-                        let span = limit - stats.cycles;
-                        if span > 0 && agg_non_halted > 0 {
-                            stats.stalls += span * agg_non_halted;
-                            tracer.record_many(limit, EventKind::Stall, span * agg_non_halted);
-                        }
-                        stats.cycles = limit;
-                        break Err(budget.trip(limit, stats, tracer));
-                    }
-                    (wake, wake - stats.cycles - 1)
-                } else {
-                    // Only blocked receivers remain: run the next cycle
-                    // and let the slice observe the deadlock, exactly
-                    // like the dense loop's no-progress check.
-                    (stats.cycles + 1, 0)
-                };
-                if skipped > 0 {
-                    // Same Slice/Warp alternation as the event scheduler,
-                    // so leaves tile [0, cycles] under sharding too.
-                    tracer.span_exit(stats.cycles);
-                    tracer.span_enter(stats.cycles, Phase::Warp);
-                    tracer.span_exit(next - 1);
-                    tracer.span_enter(next - 1, Phase::Slice);
-                }
-                *decision.lock().expect("decision lock") = SliceDecision::Run {
-                    cycle: next,
-                    skipped,
-                };
-                barrier.wait(&mut sense); // release the slice
-                barrier.wait(&mut sense); // all reports are in
-                tracer.span_mark(next, Phase::Barrier);
-                stats.cycles = next;
-                agg_can_act = false;
-                agg_staged = false;
-                agg_min_wake = None;
-                agg_all_halted = true;
-                agg_non_halted = 0;
-                let mut progress = false;
-                let mut error: Option<MachineError> = None;
-                for slot in &slots {
-                    let mut report = slot.lock().expect("report lock");
-                    stats.stalls += report.pre_stalls;
-                    if error.is_none() {
-                        StageTracer::replay(&report.ops, tracer);
-                        stats.instructions += report.scan.instructions;
-                        stats.messages += report.scan.messages;
-                        stats.stalls += report.scan.stalls;
-                        retries_total += report.retries;
-                        progress |= report.progress;
-                        for &(from, to, value) in &report.outbox {
-                            agg_staged = true;
-                            staging[shard_of(to)]
-                                .lock()
-                                .expect("staging lock")
-                                .push((from, to, value));
-                        }
-                        error = report.error.take();
-                        agg_can_act |= report.can_act;
-                        if let Some(wake) = report.min_wake {
-                            agg_min_wake = Some(agg_min_wake.map_or(wake, |w: u64| w.min(wake)));
-                        }
-                        agg_all_halted &= report.non_halted == 0;
-                        agg_non_halted += report.non_halted;
-                    } else {
-                        // Dense never reached this shard's cores on the
-                        // error cycle: commit only its warp charges.
-                        StageTracer::replay(&report.ops[..report.pre_len], tracer);
-                    }
-                    report.ops.clear();
-                    report.outbox.clear();
-                    report.pre_len = 0;
-                    report.pre_stalls = 0;
-                }
-                if let Some(e) = error {
-                    break Err(e);
-                }
-                if !progress {
-                    break Err(MachineError::Deadlock { cycle: next });
-                }
-            };
-            if run_result.is_ok() {
-                tracer.span_exit(stats.cycles);
-                tracer.span_exit(stats.cycles);
-            }
-            *decision.lock().expect("decision lock") = SliceDecision::Stop;
-            barrier.wait(&mut sense);
-            let children: Vec<(BankedMemory, Mailboxes, Option<FaultPlan>)> = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect();
-            (run_result, stats, retries_total, children)
-        });
-
-        // Reassemble the machine: banks and mailbox channels return to
-        // the parent, then any cross-shard messages staged on the very
-        // last slice land in their destination queues (the dense loop
-        // would have enqueued them directly).
-        let mut mailbox_faults = 0u64;
-        for (mem_child, mb_child, stall_plan) in children {
-            mailbox_faults += mb_child.faults_injected();
-            mailbox_faults += stall_plan.map_or(0, |p| p.injected());
-            self.mem.absorb_lanes(mem_child);
-            self.mailboxes.absorb(mb_child);
-        }
-        for slot in &staging {
-            let mut staged = slot.lock().expect("staging lock");
-            for (from, to, value) in staged.drain(..) {
-                self.mailboxes.deposit(from, to, value);
-            }
-        }
-        run_result?;
-        self.add_dp_counters(&base_counters, &mut stats, tracer);
-        let faults_injected = faults.as_ref().map_or(0, FaultPlan::injected) + mailbox_faults;
-        Ok(RunOutcome {
-            stats,
-            faults_injected,
-            retries: retries_total,
-            degraded: false,
-        })
     }
 
     /// Run one program per core under a fault plan, degrading gracefully
@@ -1787,86 +1235,124 @@ impl MultiMachine {
     }
 }
 
-/// The coordinator's per-slice instruction to every shard worker.
-#[derive(Debug, Clone, Copy)]
-enum SliceDecision {
-    /// Advance to `cycle`; `skipped` idle cycles were warped over first,
-    /// each charging every non-halted core one stall (the dense loop
-    /// visits those cycles and stalls everyone).
-    Run {
-        /// The cycle this slice simulates.
-        cycle: u64,
-        /// Warped-over idle cycles preceding it.
-        skipped: u64,
-    },
-    /// The run is over; workers exit and return their state.
-    Stop,
+/// A core the event scheduler parked.  The dense loop stalls it once
+/// per cycle from `since` until it resumes; the event scheduler charges
+/// those stalls in bulk when it resumes or the run ends first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Parked {
+    core: usize,
+    /// The first cycle the core stalls parked (the one after it parked).
+    since: u64,
+    /// Parked on an injected stall run: each stall is also a fault.
+    faulted: bool,
 }
 
-/// What one shard worker observed in one cycle-slice.  `ops[..pre_len]`
-/// holds the warp charges, committed unconditionally; the rest is the
-/// scan, which the coordinator discards for shards after an erring one
-/// (the dense loop never reaches their cores on the error cycle).
-#[derive(Debug, Default)]
-struct SliceReport {
-    /// Staged tracer calls (warp charges first, then the scan).
-    ops: Vec<StagedOp>,
-    /// Boundary between warp and scan ops.
-    pre_len: usize,
-    /// Stalls charged by the warp.
-    pre_stalls: u64,
-    /// Stats deltas charged by the scan (instructions/messages/stalls).
-    scan: Stats,
-    /// Send retries performed during the scan.
-    retries: u64,
-    /// Did any core make dense-sense forward progress?
-    progress: bool,
-    /// First error hit during the scan, in core order.
-    error: Option<MachineError>,
-    /// Cross-shard sends staged for delivery at the next slice.
-    outbox: Vec<(usize, usize, Word)>,
-    /// Can some local core act on the very next cycle?
-    can_act: bool,
-    /// Earliest backoff wake among local cores, if any sleep.
-    min_wake: Option<u64>,
-    /// Local cores still running.
-    non_halted: u64,
-}
-
-/// Settle the deferred stalls of every blocked receiver for the cycles
-/// `blocked_since..=through` (dense charges one stall per parked cycle).
-fn flush_blocked_through<T: Tracer>(
-    blocked: &[(usize, u64)],
-    through: u64,
-    stats: &mut Stats,
-    tracer: &mut T,
-) {
-    for &(_, since) in blocked {
-        let owed = (through + 1).saturating_sub(since);
-        if owed > 0 {
-            stats.stalls += owed;
-            tracer.record_many(through, EventKind::Stall, owed);
+impl Parked {
+    /// Charge the stalls owed for the cycles `since..=through`.
+    fn settle<T: Tracer>(
+        &self,
+        through: u64,
+        stats: &mut Stats,
+        faults: Option<&mut FaultPlan>,
+        tracer: &mut T,
+    ) {
+        if through < self.since {
+            return;
+        }
+        let owed = through - self.since + 1;
+        stats.stalls += owed;
+        tracer.record_many(through, EventKind::Stall, owed);
+        if self.faulted {
+            tracer.record_many(through, EventKind::FaultInjected(FaultKind::Stall), owed);
+            if let Some(plan) = faults {
+                plan.charge_stalls(owed);
+            }
         }
     }
 }
 
-/// [`flush_blocked_through`] for an error raised by core `err_core` at
-/// `cycle`: dense visits cores in ascending order, so receivers before
-/// the erroring core have already stalled this cycle while later ones
-/// were never reached.
-fn flush_blocked_on_error<T: Tracer>(
-    blocked: &[(usize, u64)],
-    err_core: usize,
-    cycle: u64,
-    stats: &mut Stats,
-    tracer: &mut T,
-) {
-    for &(w, since) in blocked {
-        let through = if w < err_core { cycle } else { cycle - 1 };
-        let owed = (through + 1).saturating_sub(since);
-        if owed > 0 {
-            stats.stalls += owed;
-            tracer.record_many(cycle, EventKind::Stall, owed);
+/// The event scheduler's parked cores: sleepers with a known wake cycle
+/// (retry backoff, stall runs) and receivers blocked until a send.
+#[derive(Debug, Default)]
+struct Parking {
+    sleeping: BinaryHeap<Reverse<(u64, Parked)>>,
+    blocked: Vec<Parked>,
+}
+
+impl Parking {
+    fn is_empty(&self) -> bool {
+        self.sleeping.is_empty() && self.blocked.is_empty()
+    }
+
+    fn sleepers(&self) -> usize {
+        self.sleeping.len()
+    }
+
+    /// The earliest wake cycle among the sleepers.
+    fn next_wake(&self) -> Option<u64> {
+        self.sleeping.peek().map(|&Reverse((wake, _))| wake)
+    }
+
+    /// Park `parked` until cycle `wake`.
+    fn sleep(&mut self, wake: u64, parked: Parked) {
+        self.sleeping.push(Reverse((wake, parked)));
+    }
+
+    /// Move the sleepers due by `cycle` back into `active` (kept sorted),
+    /// charging the stalls they slept.
+    fn wake<T: Tracer>(
+        &mut self,
+        cycle: u64,
+        active: &mut Vec<usize>,
+        stats: &mut Stats,
+        mut faults: Option<&mut FaultPlan>,
+        tracer: &mut T,
+    ) {
+        while let Some(&Reverse((wake, parked))) = self.sleeping.peek() {
+            if wake > cycle {
+                break;
+            }
+            self.sleeping.pop();
+            parked.settle(wake - 1, stats, faults.as_deref_mut(), tracer);
+            let pos = active.partition_point(|&c| c < parked.core);
+            active.insert(pos, parked.core);
+        }
+    }
+
+    /// Charge every parked core's stalls through `through`.
+    fn settle_through<T: Tracer>(
+        &self,
+        through: u64,
+        stats: &mut Stats,
+        mut faults: Option<&mut FaultPlan>,
+        tracer: &mut T,
+    ) {
+        let sleepers = self.sleeping.iter().map(|Reverse((_, parked))| parked);
+        for parked in self.blocked.iter().chain(sleepers) {
+            parked.settle(through, stats, faults.as_deref_mut(), tracer);
+        }
+    }
+
+    /// [`Parking::settle_through`] for an error raised by core `err_core`
+    /// at `cycle`: dense visits cores in ascending order, so parked cores
+    /// before the erring one have already stalled this cycle while later
+    /// ones were never reached.
+    fn settle_on_error<T: Tracer>(
+        &self,
+        err_core: usize,
+        cycle: u64,
+        stats: &mut Stats,
+        mut faults: Option<&mut FaultPlan>,
+        tracer: &mut T,
+    ) {
+        let sleepers = self.sleeping.iter().map(|Reverse((_, parked))| parked);
+        for parked in self.blocked.iter().chain(sleepers) {
+            let through = if parked.core < err_core {
+                cycle
+            } else {
+                cycle - 1
+            };
+            parked.settle(through, stats, faults.as_deref_mut(), tracer);
         }
     }
 }
@@ -2151,6 +1637,41 @@ mod tests {
                 );
             }
             other => panic!("expected WatchdogTimeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_certain_stall_rate_injects_one_fault_per_charged_cycle() {
+        use crate::fault::FaultPlan;
+        use crate::telemetry::Telemetry;
+        // Rate 1: no fetch ever issues, and every core-cycle up to the
+        // watchdog is one charged stall and one injected fault — on the
+        // dense loop, on the event scheduler and on the decoupled path.
+        let programs: Vec<Program> = (0..3).map(|i| store_const(0, i as Word)).collect();
+        for dense in [true, false] {
+            let mut m = MultiMachine::new(MultiSubtype::from_index(1).unwrap(), 3, 4)
+                .with_cycle_limit(100)
+                .with_dense_reference(dense);
+            let mut t = Telemetry::new();
+            let plan = FaultPlan::seeded(5).stall_dps(1.0);
+            let partial = match m.run_resilient_traced(&programs, plan.clone(), &mut t) {
+                Err(MachineError::WatchdogTimeout { partial, .. }) => partial,
+                other => panic!("expected WatchdogTimeout, got {other:?}"),
+            };
+            assert_eq!((partial.cycles, partial.stalls), (100, 300));
+            assert_eq!(partial.instructions, 0);
+            let faults = t.trace.class_counts();
+            let count = |label: &str| faults.iter().find(|(l, _)| l == label).unwrap().1;
+            assert_eq!(count("fault"), partial.stalls, "dense {dense}");
+            assert_eq!(count("stall"), partial.stalls, "dense {dense}");
+            let untraced = m.run_resilient(&programs, plan);
+            assert_eq!(
+                untraced,
+                Err(MachineError::WatchdogTimeout {
+                    limit: 100,
+                    partial
+                })
+            );
         }
     }
 

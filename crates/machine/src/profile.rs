@@ -18,7 +18,7 @@
 //! ## Timestamp domains and the reconciliation invariant
 //!
 //! Machine spans are stamped in the **cycle domain** (deterministic,
-//! identical across dense/event/sharded scheduling); wall-clock capture is
+//! identical across dense and event scheduling); wall-clock capture is
 //! optional and sits *beside* the cycle tree, never inside it.  The
 //! contract every instrumented loop upholds, locked by
 //! `tests/profile.rs`:
@@ -28,7 +28,7 @@
 //! 2. **leaf** spans tile their root exactly: the sum of leaf extents
 //!    equals the run's `Stats` cycle total, for every family, under every
 //!    scheduler;
-//! 3. instantaneous events (barrier waits, message deliveries, retries,
+//! 3. instantaneous events (message deliveries, retries,
 //!    degradations, reconfigurations) are zero-width [`Mark`]s so they can
 //!    never break invariant 2, and the mark buffer is bounded with an
 //!    explicit dropped counter, like `EventTrace`.
@@ -54,8 +54,6 @@ pub enum Phase {
     Warp,
     /// The SIMD broadcast loop over live lanes (array machines).
     Lanes,
-    /// Instant: a shard barrier crossing.
-    Barrier,
     /// Instant: a cross-DP message delivery.
     Delivery,
     /// Instant: a fault-retry attempt started.
@@ -87,7 +85,6 @@ impl Phase {
             Phase::Slice => "slice",
             Phase::Warp => "warp",
             Phase::Lanes => "lanes",
-            Phase::Barrier => "barrier",
             Phase::Delivery => "delivery",
             Phase::Retry => "retry",
             Phase::Degrade => "degrade",
@@ -509,16 +506,13 @@ mod tests {
         let mut p = SpanProfile::with_mark_capacity(2);
         p.enter(0, Phase::Run);
         for c in 0..5 {
-            p.mark(c, Phase::Barrier);
+            p.mark(c, Phase::Retry);
         }
         p.mark(5, Phase::Delivery);
         p.exit(6);
         assert_eq!(p.marks().len(), 2);
         assert_eq!(p.marks_dropped(), 4);
-        assert_eq!(
-            p.mark_counts(),
-            &[(Phase::Barrier, 5), (Phase::Delivery, 1)]
-        );
+        assert_eq!(p.mark_counts(), &[(Phase::Retry, 5), (Phase::Delivery, 1)]);
         // Marks never affect the leaf tiling.
         assert_eq!(p.leaf_cycle_total(), 6);
     }

@@ -13,8 +13,6 @@
 //! a full crossbar (MATRIX) fuses anything; a 3-hop window (DRRA) only
 //! fuses neighbours.
 
-use std::sync::Mutex;
-
 use skilltax_model::{ArchSpec, Count, Link, Relation};
 
 use crate::cancel::{flag_trip, CancelToken, RunBudget};
@@ -27,7 +25,6 @@ use crate::mem::{BankedMemory, DataTopology};
 use crate::multi::MultiSubtype;
 use crate::profile::Phase;
 use crate::program::Program;
-use crate::shard::{plan_cuts, resolve_shards, SenseBarrier, StageTracer, StagedOp};
 use crate::telemetry::{EventKind, NullTracer, Tracer};
 use crate::uniprocessor::DEFAULT_CYCLE_LIMIT;
 
@@ -43,7 +40,6 @@ pub struct SpatialMachine {
     group: Vec<usize>,
     cycle_limit: u64,
     dense_reference: bool,
-    shards: usize,
     cancel: CancelToken,
 }
 
@@ -83,21 +79,8 @@ impl SpatialMachine {
             group: (0..cores).collect(),
             cycle_limit: DEFAULT_CYCLE_LIMIT,
             dense_reference: false,
-            shards: 1,
             cancel: CancelToken::new(),
         })
-    }
-
-    /// Request shard-parallel execution over (up to) `shards` worker
-    /// threads (`0` = auto via the `SKILLTAX_THREADS` override, `1` =
-    /// single-threaded, the default).  Fused groups are partitioned
-    /// between threads; the run stays bit-identical to the
-    /// single-threaded schedulers and silently falls back to them when
-    /// it cannot shard (shared data memory, or group lane sets that
-    /// interleave across every boundary; see DESIGN.md §10).
-    pub fn with_shards(mut self, shards: usize) -> SpatialMachine {
-        self.shards = shards;
-        self
     }
 
     /// Override the livelock guard.
@@ -107,8 +90,8 @@ impl SpatialMachine {
     }
 
     /// Install a cancellation token for subsequent runs (deadline cycles
-    /// stop deterministically across all schedulers; the flag stops
-    /// promptly — per cycle single-threaded, per slice when sharded).
+    /// stop deterministically across both schedulers; the flag stops
+    /// promptly, polled once per cycle).
     pub fn with_cancel(mut self, cancel: CancelToken) -> SpatialMachine {
         self.cancel = cancel;
         self
@@ -232,11 +215,6 @@ impl SpatialMachine {
             )));
         }
         let groups = self.groups();
-        if !self.dense_reference {
-            if let Some(cuts) = self.shard_partition(&groups) {
-                return self.run_sharded(programs, &groups, &cuts, tracer);
-            }
-        }
         let mut pcs = vec![0usize; self.n];
         let mut halted = vec![false; self.n]; // per leader
         let mut stats = Stats::default();
@@ -328,295 +306,6 @@ impl SpatialMachine {
         Ok(stats)
     }
 
-    /// Decide whether this run can shard, and into which contiguous runs
-    /// of `groups` (ascending leader order).  Returns the shard start
-    /// indices into `groups`, or `None` to fall back.
-    ///
-    /// A boundary before group `j` is legal only when every lane of the
-    /// earlier groups precedes every lane of the later ones — then the
-    /// private banks split into contiguous per-shard blocks and each
-    /// worker owns its lanes outright.  Fusion can interleave lanes
-    /// arbitrarily, so this is a property of the current grouping, not
-    /// of the machine.
-    fn shard_partition(&self, groups: &[(usize, Vec<usize>)]) -> Option<Vec<usize>> {
-        if self.shards == 1 {
-            return None;
-        }
-        let shards = resolve_shards(self.shards);
-        if shards < 2 {
-            return None;
-        }
-        if self.mem.topology() != DataTopology::PrivateBanks {
-            return None;
-        }
-        let g = groups.len();
-        if g < 2 {
-            return None;
-        }
-        let mut prefix_max = vec![0usize; g];
-        let mut run_max = 0usize;
-        for (j, (_, members)) in groups.iter().enumerate() {
-            run_max = run_max.max(*members.iter().max().expect("groups are non-empty"));
-            prefix_max[j] = run_max;
-        }
-        let mut suffix_min = vec![usize::MAX; g];
-        let mut run_min = usize::MAX;
-        for j in (0..g).rev() {
-            run_min = run_min.min(*groups[j].1.iter().min().expect("groups are non-empty"));
-            suffix_min[j] = run_min;
-        }
-        let mut allowed = vec![false; g];
-        for j in 1..g {
-            allowed[j] = prefix_max[j - 1] < suffix_min[j];
-        }
-        plan_cuts(g, shards, &allowed)
-    }
-
-    /// The shard-parallel group runner: a bulk-synchronous mirror of the
-    /// dense loop in [`SpatialMachine::run_traced`], one cycle per
-    /// slice.  Each worker owns a contiguous run of groups and the
-    /// private banks their lanes cover; groups never communicate, so the
-    /// only coordination is the slice barrier and the commit of staged
-    /// tracer calls in ascending shard order — which *is* dense group
-    /// order, making `Stats`, telemetry class totals and errors
-    /// bit-identical to the single-threaded schedulers (DESIGN.md §10).
-    fn run_sharded<T: Tracer>(
-        &mut self,
-        programs: &[Program],
-        groups: &[(usize, Vec<usize>)],
-        cuts: &[usize],
-        tracer: &mut T,
-    ) -> Result<Stats, MachineError> {
-        let n = self.n;
-        let g = groups.len();
-        let k = cuts.len();
-        let budget = RunBudget::resolve(self.cycle_limit, &self.cancel);
-        let limit = budget.limit();
-        let cancel = self.cancel.clone();
-        let live = tracer.enabled();
-        let class_name = self.class_name();
-        let base: Vec<(u64, u64, u64)> = self.dps.iter().map(|d| d.counters()).collect();
-        // Shard s owns lanes `bounds[s]..bounds[s + 1]` — the cut
-        // legality above guarantees these blocks are contiguous and
-        // cover every bank exactly once.
-        let mut bounds: Vec<usize> = cuts
-            .iter()
-            .map(|&c| {
-                groups[c..]
-                    .iter()
-                    .flat_map(|(_, m)| m.iter().copied())
-                    .min()
-                    .expect("groups are non-empty")
-            })
-            .collect();
-        bounds.push(n);
-        debug_assert_eq!(bounds[0], 0);
-        let mut pcs = vec![0usize; n];
-        let mut halted = vec![false; n];
-        type Seat<'a> = (
-            usize,
-            &'a [(usize, Vec<usize>)],
-            &'a mut [DataProcessor],
-            &'a mut [usize],
-            &'a mut [bool],
-            BankedMemory,
-        );
-        let mut seats: Vec<Seat<'_>> = Vec::with_capacity(k);
-        {
-            let mut dps_rest: &mut [DataProcessor] = &mut self.dps;
-            let mut pcs_rest: &mut [usize] = &mut pcs;
-            let mut halted_rest: &mut [bool] = &mut halted;
-            for s in 0..k {
-                let lane_start = bounds[s];
-                let lane_end = bounds[s + 1];
-                let gend = cuts.get(s + 1).copied().unwrap_or(g);
-                let (dps_here, dps_tail) = dps_rest.split_at_mut(lane_end - lane_start);
-                dps_rest = dps_tail;
-                let (pcs_here, pcs_tail) = pcs_rest.split_at_mut(lane_end - lane_start);
-                pcs_rest = pcs_tail;
-                let (halted_here, halted_tail) = halted_rest.split_at_mut(lane_end - lane_start);
-                halted_rest = halted_tail;
-                let mem = self.mem.split_lanes(lane_start..lane_end);
-                seats.push((
-                    lane_start,
-                    &groups[cuts[s]..gend],
-                    dps_here,
-                    pcs_here,
-                    halted_here,
-                    mem,
-                ));
-            }
-        }
-        let barrier = SenseBarrier::new(k + 1);
-        let decision = Mutex::new(GroupDecision::Stop);
-        let slots: Vec<Mutex<GroupReport>> =
-            (0..k).map(|_| Mutex::new(GroupReport::default())).collect();
-
-        let (run_result, mut stats, children) = std::thread::scope(|scope| {
-            let handles: Vec<_> = seats
-                .into_iter()
-                .enumerate()
-                .map(|(s, (lane_base, groups_here, dps, pcs, halted, mut mem))| {
-                    let barrier = &barrier;
-                    let decision = &decision;
-                    let slot = &slots[s];
-                    let class_name = class_name.clone();
-                    scope.spawn(move || {
-                        let mut sense = false;
-                        let mut stage = StageTracer {
-                            live,
-                            ops: Vec::new(),
-                        };
-                        loop {
-                            barrier.wait(&mut sense);
-                            let GroupDecision::Run { cycle } =
-                                *decision.lock().expect("decision lock")
-                            else {
-                                break;
-                            };
-                            let mut report = slot.lock().expect("report lock");
-                            stage.ops = std::mem::take(&mut report.ops);
-                            let mut instructions = 0u64;
-                            let mut error: Option<MachineError> = None;
-                            'scan: for (leader, members) in groups_here {
-                                let lj = leader - lane_base;
-                                if halted[lj] {
-                                    continue;
-                                }
-                                let Some(instr) = programs[*leader].fetch(pcs[lj]) else {
-                                    halted[lj] = true;
-                                    continue;
-                                };
-                                match instr {
-                                    Instr::Send(..) | Instr::Recv(..) | Instr::GetLane(..) => {
-                                        error = Some(MachineError::unsupported(
-                                            class_name.clone(),
-                                            "fused-group broadcast does not combine with \
-                                             explicit message instructions in this model",
-                                        ));
-                                        break 'scan;
-                                    }
-                                    _ if instr.is_control() => {
-                                        instructions += 1;
-                                        stage.record(cycle, EventKind::Issue);
-                                        match dps[lj]
-                                            .execute_traced(instr, &mut mem, cycle, &mut stage)
-                                        {
-                                            Ok(LocalOutcome::Next) => pcs[lj] += 1,
-                                            Ok(LocalOutcome::Branch(t)) => pcs[lj] = t,
-                                            Ok(LocalOutcome::Halt) => halted[lj] = true,
-                                            Err(e) => {
-                                                error = Some(e);
-                                                break 'scan;
-                                            }
-                                        }
-                                    }
-                                    _ => {
-                                        for &m in members {
-                                            if let Err(e) = dps[m - lane_base]
-                                                .execute_traced(instr, &mut mem, cycle, &mut stage)
-                                            {
-                                                error = Some(e);
-                                                break 'scan;
-                                            }
-                                        }
-                                        instructions += members.len() as u64;
-                                        stage.record_many(
-                                            cycle,
-                                            EventKind::Issue,
-                                            members.len() as u64,
-                                        );
-                                        pcs[lj] += 1;
-                                    }
-                                }
-                            }
-                            report.instructions = instructions;
-                            report.error = error;
-                            report.all_halted = groups_here
-                                .iter()
-                                .all(|(leader, _)| halted[leader - lane_base]);
-                            report.ops = std::mem::take(&mut stage.ops);
-                            drop(report);
-                            barrier.wait(&mut sense);
-                        }
-                        mem
-                    })
-                })
-                .collect();
-
-            let mut sense = false;
-            let mut stats = Stats::default();
-            let mut agg_all_halted = false;
-            // Coordinator-side spans: one coherent timeline per run.
-            tracer.span_enter(0, Phase::Run);
-            tracer.span_enter(0, Phase::Decode);
-            tracer.span_exit(0);
-            tracer.span_enter(0, Phase::Slice);
-            let run_result: Result<(), MachineError> = loop {
-                if agg_all_halted {
-                    break Ok(());
-                }
-                // The single-threaded coordinator polls the flag once per
-                // slice decision; workers stay deterministic mid-slice.
-                if cancel.flag_raised() {
-                    break Err(flag_trip(stats.cycles, stats, tracer));
-                }
-                if stats.cycles >= limit {
-                    break Err(budget.trip(stats.cycles, stats, tracer));
-                }
-                let next = stats.cycles + 1;
-                *decision.lock().expect("decision lock") = GroupDecision::Run { cycle: next };
-                barrier.wait(&mut sense); // release the slice
-                barrier.wait(&mut sense); // all reports are in
-                tracer.span_mark(next, Phase::Barrier);
-                stats.cycles = next;
-                agg_all_halted = true;
-                let mut error: Option<MachineError> = None;
-                for slot in &slots {
-                    let mut report = slot.lock().expect("report lock");
-                    if error.is_none() {
-                        StageTracer::replay(&report.ops, tracer);
-                        stats.instructions += report.instructions;
-                        error = report.error.take();
-                        agg_all_halted &= report.all_halted;
-                    }
-                    report.ops.clear();
-                    report.instructions = 0;
-                }
-                if let Some(e) = error {
-                    break Err(e);
-                }
-            };
-            if run_result.is_ok() {
-                tracer.span_exit(stats.cycles);
-                tracer.span_exit(stats.cycles);
-            }
-            *decision.lock().expect("decision lock") = GroupDecision::Stop;
-            barrier.wait(&mut sense);
-            let children: Vec<BankedMemory> = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect();
-            (run_result, stats, children)
-        });
-        for child in children {
-            self.mem.absorb_lanes(child);
-        }
-        run_result?;
-        for (i, dp) in self.dps.iter().enumerate() {
-            let (alu, mr, mw) = dp.counters();
-            let (b_alu, b_mr, b_mw) = base[i];
-            stats.alu_ops += alu - b_alu;
-            stats.mem_reads += mr - b_mr;
-            stats.mem_writes += mw - b_mw;
-            if tracer.enabled() {
-                tracer.sample("dp.alu_ops", alu - b_alu);
-                tracer.sample("dp.mem_ops", (mr - b_mr) + (mw - b_mw));
-            }
-        }
-        Ok(stats)
-    }
-
     /// One cycle of one live group: fetch the leader's instruction and
     /// either retire the group, execute control flow on the leader's DP,
     /// or broadcast across every member DP in lockstep.
@@ -663,31 +352,6 @@ impl SpatialMachine {
         }
         Ok(())
     }
-}
-
-/// What the coordinator tells the group-shard workers to do next.
-#[derive(Clone, Copy)]
-enum GroupDecision {
-    /// Advance every shard's groups through dense cycle `cycle`.
-    Run {
-        /// The 1-based cycle number this slice simulates.
-        cycle: u64,
-    },
-    /// The run is over; workers return their memory shards.
-    Stop,
-}
-
-/// One shard's result for one cycle slice of the spatial runner.
-#[derive(Default)]
-struct GroupReport {
-    /// Staged tracer calls, replayed in shard order by the coordinator.
-    ops: Vec<StagedOp>,
-    /// Instructions retired this slice across the shard's groups.
-    instructions: u64,
-    /// First error hit while scanning this shard's groups in order.
-    error: Option<MachineError>,
-    /// Every group leader in this shard has halted.
-    all_halted: bool,
 }
 
 #[cfg(test)]

@@ -7,12 +7,31 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Resolve the worker-thread count honouring the `SKILLTAX_THREADS`
+/// environment override: a positive value forces that many threads, `0`,
+/// unset or unparsable falls back to [`std::thread::available_parallelism`].
+///
+/// Every sweep goes through this, so one knob pins the whole process for
+/// CI reproducibility (documented next to the `SKILLTAX_BENCH_*` knobs in
+/// the README).
+pub fn configured_threads() -> usize {
+    match std::env::var("SKILLTAX_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+    {
+        Some(n) if n > 0 => n,
+        _ => std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1),
+    }
+}
+
 /// Run `f` over `items` in parallel (scoped threads, one lock-free work
 /// queue, results in input order).  Falls back to sequential execution
 /// for tiny inputs.
 ///
 /// The worker count honours the `SKILLTAX_THREADS` environment override
-/// (via [`crate::shard::configured_threads`]; `0`/unset =
+/// (via [`configured_threads`]; `0`/unset =
 /// `available_parallelism`).  Workers claim contiguous chunks of indices
 /// with one `fetch_add` per chunk (chunk size `n / (threads * 8)`, min 1
 /// — small enough to keep the tail balanced, large enough that the
@@ -26,7 +45,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_with(items, f, crate::shard::configured_threads())
+    parallel_map_with(items, f, configured_threads())
 }
 
 /// [`parallel_map`] with an explicit worker count (the testable core:
@@ -117,7 +136,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    sweep_with(params, f, crate::shard::configured_threads())
+    sweep_with(params, f, configured_threads())
 }
 
 /// [`sweep`] with an explicit worker count (the testable core: the

@@ -6,13 +6,10 @@
 //! combinational network), an instruction processor (a registered state
 //! machine), or both at once — the defining property of the USP class.
 
-use std::sync::Mutex;
-
 use crate::cancel::{flag_trip, CancelToken, RunBudget};
 use crate::error::MachineError;
 use crate::exec::Stats;
 use crate::profile::Phase;
-use crate::shard::{plan_cuts, resolve_shards, SenseBarrier};
 use crate::telemetry::{EventKind, NullTracer, Tracer};
 
 use super::lut::LutCell;
@@ -171,7 +168,6 @@ impl LutFabric {
             last_inputs: Vec::new(),
             cache_valid: false,
             dense_reference: false,
-            shards: 1,
             cancel: CancelToken::new(),
         })
     }
@@ -226,7 +222,6 @@ pub struct ConfiguredFabric {
     last_inputs: Vec<bool>,
     cache_valid: bool,
     dense_reference: bool,
-    shards: usize,
     cancel: CancelToken,
 }
 
@@ -244,24 +239,8 @@ impl ConfiguredFabric {
         self
     }
 
-    /// Request shard-parallel clocking for [`ConfiguredFabric::run_until`]
-    /// (`0` = one shard per available core, honouring `SKILLTAX_THREADS`).
-    ///
-    /// The fabric is cut along *weakly-connected components* of the
-    /// cell→cell routing graph: regions that share no wire evolve
-    /// independently, so each worker clocks its own region and the
-    /// coordinator assembles the fabric outputs at a per-edge barrier.
-    /// Outputs, flip-flop trajectories, `Stats`, and telemetry are
-    /// bit-identical to the single-threaded clock loop; fabrics that are
-    /// one connected region simply fall back to it.
-    pub fn with_shards(mut self, shards: usize) -> ConfiguredFabric {
-        self.shards = shards;
-        self
-    }
-
     /// Attach a cancellation token to [`ConfiguredFabric::run_until`]: a
-    /// deadline stops the run after that exact number of clock edges
-    /// (identically on the single-threaded and shard-parallel paths); a
+    /// deadline stops the run after that exact number of clock edges; a
     /// raised flag stops it at the next edge poll.
     pub fn with_cancel(mut self, cancel: CancelToken) -> ConfiguredFabric {
         self.cancel = cancel;
@@ -455,9 +434,6 @@ impl ConfiguredFabric {
         mut done: impl FnMut(&[bool]) -> bool,
         tracer: &mut T,
     ) -> Result<(Vec<bool>, Stats), MachineError> {
-        if let Some(regions) = self.shard_regions(inputs) {
-            return self.run_until_sharded(inputs, limit, done, tracer, &regions);
-        }
         let budget = RunBudget::resolve(limit, &self.cancel);
         let mut stats = Stats::default();
         tracer.span_enter(0, Phase::Run);
@@ -482,250 +458,6 @@ impl ConfiguredFabric {
             }
         }
     }
-
-    /// Decide whether this run can shard, and into which cell regions.
-    ///
-    /// Regions are the weakly-connected components of the cell→cell
-    /// routing graph (components ordered by their smallest cell id, then
-    /// grouped into contiguous shard runs).  A component never reads
-    /// another component's wires, so each evolves exactly as it would in
-    /// the full fabric.  Falls back (`None`) when sharding is off, the
-    /// dense reference path is forced, fewer than two regions exist, or
-    /// `inputs` does not cover every routed primary — the single-threaded
-    /// settle reports the missing-input error in `comb_order` position,
-    /// an ordering a regional scan cannot reproduce.
-    fn shard_regions(&self, inputs: &[bool]) -> Option<Vec<Vec<usize>>> {
-        if self.shards == 1 || self.dense_reference {
-            return None;
-        }
-        let shards = resolve_shards(self.shards);
-        if shards < 2 {
-            return None;
-        }
-        let cells = &self.bitstream.cells;
-        let n = cells.len();
-        if n < 2 {
-            return None;
-        }
-        let routed_primary = |src: &Source| match *src {
-            Source::Primary(k) => k >= inputs.len(),
-            _ => false,
-        };
-        if cells
-            .iter()
-            .flat_map(|c| c.inputs.iter())
-            .chain(self.bitstream.outputs.iter())
-            .any(routed_primary)
-        {
-            return None;
-        }
-        // Union-find over Source::Cell edges.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        for (id, cell) in cells.iter().enumerate() {
-            for src in &cell.inputs {
-                if let Source::Cell(p) = *src {
-                    let (a, b) = (find(&mut parent, id), find(&mut parent, p));
-                    parent[a] = b;
-                }
-            }
-        }
-        // Components keyed by root, ordered by smallest member id.
-        let mut component_of = vec![usize::MAX; n];
-        let mut components: Vec<Vec<usize>> = Vec::new();
-        for id in 0..n {
-            let root = find(&mut parent, id);
-            if component_of[root] == usize::MAX {
-                component_of[root] = components.len();
-                components.push(Vec::new());
-            }
-            components[component_of[root]].push(id);
-        }
-        let g = components.len();
-        if g < 2 {
-            return None;
-        }
-        let mut allowed = vec![true; g];
-        allowed[0] = false;
-        let cuts = plan_cuts(g, shards, &allowed)?;
-        let mut regions: Vec<Vec<usize>> = Vec::with_capacity(cuts.len());
-        for (s, &start) in cuts.iter().enumerate() {
-            let end = cuts.get(s + 1).copied().unwrap_or(g);
-            regions.push(components[start..end].iter().flatten().copied().collect());
-        }
-        Some(regions)
-    }
-
-    /// The shard-parallel clock loop: each worker owns a disjoint cell
-    /// region (a clone of the fabric whose `comb_order` is filtered to
-    /// its cells) and advances it one edge per barrier slice; the
-    /// coordinator assembles the fabric outputs from the owning regions,
-    /// evaluates `done`, and records the same `Issue`/`Watchdog` events
-    /// as the single-threaded loop.  Flip-flop state is gathered back
-    /// into `self` when the run ends, so post-run [`state`] reads and
-    /// later `step`s continue identically.
-    ///
-    /// [`state`]: ConfiguredFabric::state
-    fn run_until_sharded<T: Tracer>(
-        &mut self,
-        inputs: &[bool],
-        limit: u64,
-        mut done: impl FnMut(&[bool]) -> bool,
-        tracer: &mut T,
-        regions: &[Vec<usize>],
-    ) -> Result<(Vec<bool>, Stats), MachineError> {
-        let budget = RunBudget::resolve(limit, &self.cancel);
-        let limit = budget.limit();
-        let cancel = self.cancel.clone();
-        let k = regions.len();
-        let n = self.bitstream.cells.len();
-        let mut shard_of = vec![usize::MAX; n];
-        for (s, cells) in regions.iter().enumerate() {
-            for &c in cells {
-                shard_of[c] = s;
-            }
-        }
-        let seats: Vec<ConfiguredFabric> = regions
-            .iter()
-            .map(|cells| {
-                let mut child = self.clone();
-                child.comb_order.retain(|id| cells.contains(id));
-                child.cache_valid = false;
-                child.shards = 1;
-                child
-            })
-            .collect();
-        let barrier = SenseBarrier::new(k + 1);
-        let decision = Mutex::new(EdgeDecision::Stop);
-        let slots: Vec<Mutex<EdgeReport>> =
-            (0..k).map(|_| Mutex::new(EdgeReport::default())).collect();
-
-        let (run_result, stats, children) = std::thread::scope(|scope| {
-            let handles: Vec<_> = seats
-                .into_iter()
-                .enumerate()
-                .map(|(s, mut child)| {
-                    let barrier = &barrier;
-                    let decision = &decision;
-                    let slot = &slots[s];
-                    scope.spawn(move || {
-                        let mut sense = false;
-                        loop {
-                            barrier.wait(&mut sense);
-                            if matches!(
-                                *decision.lock().expect("decision lock"),
-                                EdgeDecision::Stop
-                            ) {
-                                break;
-                            }
-                            let result = child.step(inputs);
-                            let mut report = slot.lock().expect("report lock");
-                            match result {
-                                Ok(outputs) => report.outputs = outputs,
-                                Err(e) => report.error = Some(e),
-                            }
-                            drop(report);
-                            barrier.wait(&mut sense);
-                        }
-                        child
-                    })
-                })
-                .collect();
-
-            let mut sense = false;
-            let mut stats = Stats::default();
-            // Coordinator-side spans: one coherent timeline per run.
-            tracer.span_enter(0, Phase::Run);
-            tracer.span_enter(0, Phase::Decode);
-            tracer.span_exit(0);
-            tracer.span_enter(0, Phase::Slice);
-            let run_result: Result<Option<Vec<bool>>, MachineError> = loop {
-                if cancel.flag_raised() {
-                    break Err(flag_trip(stats.cycles, stats, tracer));
-                }
-                if stats.cycles >= limit {
-                    break Err(budget.trip(stats.cycles, stats, tracer));
-                }
-                *decision.lock().expect("decision lock") = EdgeDecision::Run;
-                barrier.wait(&mut sense); // release the edge
-                barrier.wait(&mut sense); // all regions have latched
-                let mut error: Option<MachineError> = None;
-                for slot in &slots {
-                    let mut report = slot.lock().expect("report lock");
-                    if error.is_none() {
-                        error = report.error.take();
-                    }
-                }
-                if let Some(e) = error {
-                    break Err(e);
-                }
-                let out: Vec<bool> = self
-                    .bitstream
-                    .outputs
-                    .iter()
-                    .enumerate()
-                    .map(|(oi, src)| match *src {
-                        // Primaries were range-checked by `shard_regions`.
-                        Source::Primary(p) => inputs[p],
-                        Source::Cell(id) => {
-                            slots[shard_of[id]].lock().expect("report lock").outputs[oi]
-                        }
-                        Source::Zero => false,
-                        Source::One => true,
-                    })
-                    .collect();
-                tracer.span_mark(stats.cycles + 1, Phase::Barrier);
-                stats.cycles += 1;
-                stats.instructions += 1; // one fabric-wide evaluation per edge
-                tracer.record(stats.cycles, EventKind::Issue);
-                if done(&out) {
-                    tracer.span_exit(stats.cycles);
-                    tracer.span_exit(stats.cycles);
-                    break Ok(Some(out));
-                }
-            };
-            *decision.lock().expect("decision lock") = EdgeDecision::Stop;
-            barrier.wait(&mut sense);
-            let children: Vec<ConfiguredFabric> = handles
-                .into_iter()
-                .map(|h| h.join().expect("fabric shard worker panicked"))
-                .collect();
-            (run_result, stats, children)
-        });
-        for (s, cells) in regions.iter().enumerate() {
-            for &c in cells {
-                self.state[c] = children[s].state[c];
-            }
-        }
-        self.cache_valid = false;
-        let out = run_result?.expect("sharded run ended without outputs or error");
-        Ok((out, stats))
-    }
-}
-
-/// What the coordinator tells fabric-region workers to do next.
-#[derive(Clone, Copy)]
-enum EdgeDecision {
-    /// Clock one edge with the run's primary inputs.
-    Run,
-    /// The run is over; workers return their region fabrics.
-    Stop,
-}
-
-/// One region's result for one clock edge.
-#[derive(Default)]
-struct EdgeReport {
-    /// The fabric outputs as seen by this region (entries whose source
-    /// lies in another region read false and are ignored).
-    outputs: Vec<bool>,
-    /// An evaluation error, if the edge failed.
-    error: Option<MachineError>,
 }
 
 #[cfg(test)]

@@ -830,53 +830,18 @@ pub fn run_backoff_storm_multi_traced<T: Tracer>(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Shard-parallel workloads: the same shapes, run on multiple OS threads.
-//
-// Each runner below is a sharded twin of a single-threaded workload above —
-// the determinism contract (identical Stats, errors, and telemetry class
-// totals; see DESIGN.md §10) is what `tests/shard_identity.rs` checks by
-// running both and comparing.
-// ---------------------------------------------------------------------------
-
-/// [`run_mimd_stagger_multi_traced`] with shard-parallel execution (`0` =
-/// one shard per available core, honouring `SKILLTAX_THREADS`).
-pub fn run_mimd_stagger_multi_sharded<T: Tracer>(
-    cores: usize,
-    long_iters: Word,
-    shards: usize,
-    tracer: &mut T,
-) -> Result<WorkloadResult, MachineError> {
-    if cores < 2 {
-        return Err(MachineError::config("need at least two cores"));
-    }
-    let mut machine = MultiMachine::new(MultiSubtype::from_index(1)?, cores, 4).with_shards(shards);
-    let programs: Result<Vec<Program>, MachineError> = (0..cores)
-        .map(|c| count_loop_program(if c.is_multiple_of(32) { long_iters } else { 8 }))
-        .collect();
-    let stats = machine.run_traced(&programs?, tracer)?;
-    let outputs = (0..cores)
-        .map(|c| machine.memory().bank(c).contents()[0])
-        .collect();
-    Ok(WorkloadResult { outputs, stats })
-}
-
 /// A backward message ring on an IMP-II machine: every core `i >= 1`
 /// sends `100 + i` to core `i - 1`, and every core `i < n - 1` receives
-/// from core `i + 1`.  All message edges point backward, so the run
-/// shards at any boundary while still exercising cross-shard delivery
-/// (`shards = 1` is the single-threaded twin; `0` = per-core auto).
-/// Outputs are each core's received value (`0` for the last core, which
-/// only sends).
+/// from core `i + 1`.  Outputs are each core's received value (`0` for
+/// the last core, which only sends).
 pub fn run_ring_shift_multi_traced<T: Tracer>(
     cores: usize,
-    shards: usize,
     tracer: &mut T,
 ) -> Result<WorkloadResult, MachineError> {
     if cores < 2 {
         return Err(MachineError::config("need at least two cores"));
     }
-    let mut machine = MultiMachine::new(MultiSubtype::from_index(2)?, cores, 4).with_shards(shards);
+    let mut machine = MultiMachine::new(MultiSubtype::from_index(2)?, cores, 4);
     let programs: Result<Vec<Program>, MachineError> = (0..cores)
         .map(|i| {
             let mut asm = Assembler::new();
@@ -898,73 +863,13 @@ pub fn run_ring_shift_multi_traced<T: Tracer>(
     Ok(WorkloadResult { outputs, stats })
 }
 
-/// [`run_backoff_storm_multi_traced`] with the message direction
-/// reversed (core 1 sends to core 0 across a downed `1→0` link) and
-/// shard-parallel execution: the backward edge keeps the two cores
-/// shardable, so the retry/backoff fault path runs under the barrier
-/// protocol.  The output is the receiver's delivered value (42).
-pub fn run_backoff_storm_backward_multi_sharded<T: Tracer>(
-    outage_until: u64,
-    max_retries: u32,
-    shards: usize,
-    tracer: &mut T,
-) -> Result<WorkloadResult, MachineError> {
-    let mut machine = MultiMachine::new(MultiSubtype::from_index(2)?, 2, 4).with_shards(shards);
-    let mut receiver = Assembler::new();
-    receiver.emit(Instr::Recv(5, 1)).emit(Instr::Halt);
-    let mut sender = Assembler::new();
-    sender.movi(0, 42).emit(Instr::Send(0, 0)).emit(Instr::Halt);
-    let programs = vec![receiver.assemble()?, sender.assemble()?];
-    let plan = FaultPlan::seeded(0)
-        .fail_link(LinkOutage {
-            from: 1,
-            to: 0,
-            from_cycle: 0,
-            until_cycle: outage_until,
-        })
-        .with_max_retries(max_retries);
-    let outcome = machine.run_resilient_traced(&programs, plan, tracer)?;
-    Ok(WorkloadResult {
-        outputs: vec![machine.core_reg(0, 5)],
-        stats: outcome.stats,
-    })
-}
-
-/// [`run_stagger_spatial_traced`] with shard-parallel execution over the
-/// unfused groups (`0` = one shard per available core, honouring
-/// `SKILLTAX_THREADS`).
-pub fn run_stagger_spatial_sharded<T: Tracer>(
-    cores: usize,
-    long_iters: Word,
-    shards: usize,
-    tracer: &mut T,
-) -> Result<WorkloadResult, MachineError> {
-    let mut machine = SpatialMachine::new(
-        MultiSubtype::from_index(1)?,
-        FabricTopology::Crossbar,
-        cores,
-        4,
-    )?
-    .with_shards(shards);
-    let programs: Result<Vec<Program>, MachineError> = (0..cores)
-        .map(|c| count_loop_program(if c.is_multiple_of(16) { long_iters } else { 8 }))
-        .collect();
-    let stats = machine.run_traced(&programs?, tracer)?;
-    let outputs = (0..cores).map(|c| machine.core_reg(c, 0)).collect();
-    Ok(WorkloadResult { outputs, stats })
-}
-
 /// Independent delay chains on the USP fabric: region `r` is a chain of
 /// `r + 1` registered buffer cells seeded from the constant `One`, so
 /// its output goes (and stays) high after `r + 1` clock edges.  The run
 /// finishes when every region's output is high — after `regions` edges.
-/// The chains share no wires, so the fabric shards one region (or a
-/// contiguous run of regions) per worker; `shards = 1` is the
-/// single-threaded twin.  Outputs are the final region outputs as 0/1
-/// words.
+/// Outputs are the final region outputs as 0/1 words.
 pub fn run_fabric_counters_traced<T: Tracer>(
     regions: usize,
-    shards: usize,
     limit: u64,
     tracer: &mut T,
 ) -> Result<WorkloadResult, MachineError> {
@@ -990,9 +895,7 @@ pub fn run_fabric_counters_traced<T: Tracer>(
     }
     let n_cells = cells.len();
     let bitstream = Bitstream { cells, outputs };
-    let mut fabric = LutFabric::new(n_cells, 2, 0)
-        .configure(&bitstream)?
-        .with_shards(shards);
+    let mut fabric = LutFabric::new(n_cells, 2, 0).configure(&bitstream)?;
     let (out, stats) = fabric.run_until_traced(&[], limit, |o| o.iter().all(|&b| b), tracer)?;
     Ok(WorkloadResult {
         outputs: out.into_iter().map(Word::from).collect(),

@@ -3,9 +3,9 @@
 //! run loop — firing *before* the budget yields `Cancelled`, firing
 //! *after* leaves the watchdog in charge, and a tie goes to the
 //! cancellation — with partial [`Stats`] that are bit-identical across
-//! the dense reference, the event-driven scheduler and every shard
-//! width.  The asynchronous flag stops promptly with the same typed
-//! error, though its stop cycle is not replayable.
+//! the dense reference and the event-driven scheduler.  The asynchronous
+//! flag stops promptly with the same typed error, though its stop cycle
+//! is not replayable.
 
 use skilltax_machine::array::{ArrayMachine, ArraySubtype};
 use skilltax_machine::dataflow::{graph::library, DataflowMachine, DataflowSubtype, Placement};
@@ -55,16 +55,15 @@ fn multi_deadline_before_at_after_budget_identity() {
         (100, false, 60),     // after the budget: plain watchdog
     ];
     for (deadline, cancels, stop) in cases {
-        let run = |dense: bool, shards: usize, t: &mut Telemetry| {
+        let run = |dense: bool, t: &mut Telemetry| {
             let mut m = MultiMachine::new(MultiSubtype::from_index(1).unwrap(), 4, 4)
                 .with_cycle_limit(60)
                 .with_dense_reference(dense)
-                .with_shards(shards)
                 .with_cancel(CancelToken::new().with_deadline(deadline));
             m.run_traced(&vec![spin_program(10_000); 4], t)
         };
         let mut base_telemetry = Telemetry::new();
-        let base = run(true, 1, &mut base_telemetry);
+        let base = run(true, &mut base_telemetry);
         match &base {
             Err(MachineError::Cancelled { at_cycle, partial }) => {
                 assert!(cancels, "deadline {deadline}: unexpected cancellation");
@@ -76,20 +75,18 @@ fn multi_deadline_before_at_after_budget_identity() {
             }
             other => panic!("deadline {deadline}: expected a typed stop, got {other:?}"),
         }
-        for (dense, shards) in [(false, 1), (false, 2), (false, 8), (false, 0)] {
-            let mut telemetry = Telemetry::new();
-            let outcome = run(dense, shards, &mut telemetry);
-            assert_eq!(
-                format!("{base:?}"),
-                format!("{outcome:?}"),
-                "deadline {deadline} x{shards}: outcomes diverged"
-            );
-            assert_eq!(
-                base_telemetry.trace.class_counts(),
-                telemetry.trace.class_counts(),
-                "deadline {deadline} x{shards}: event-class totals diverged"
-            );
-        }
+        let mut telemetry = Telemetry::new();
+        let outcome = run(false, &mut telemetry);
+        assert_eq!(
+            format!("{base:?}"),
+            format!("{outcome:?}"),
+            "deadline {deadline}: outcomes diverged"
+        );
+        assert_eq!(
+            base_telemetry.trace.class_counts(),
+            telemetry.trace.class_counts(),
+            "deadline {deadline}: event-class totals diverged"
+        );
     }
 }
 
@@ -183,12 +180,12 @@ fn array_deadline_identical_on_both_paths() {
 }
 
 // -------------------------------------------------------------------------
-// Spatial (ISP), across shard widths
+// Spatial (ISP), dense vs active-set loops
 // -------------------------------------------------------------------------
 
 #[test]
-fn spatial_deadline_shard_identity() {
-    let run = |shards: usize, t: &mut Telemetry| {
+fn spatial_deadline_identical_on_both_schedulers() {
+    let run = |dense: bool, t: &mut Telemetry| {
         let mut m = SpatialMachine::new(
             MultiSubtype::from_index(1).unwrap(),
             FabricTopology::Crossbar,
@@ -197,12 +194,12 @@ fn spatial_deadline_shard_identity() {
         )
         .unwrap()
         .with_cycle_limit(60)
-        .with_shards(shards)
+        .with_dense_reference(dense)
         .with_cancel(CancelToken::new().with_deadline(20));
         m.run_traced(&vec![spin_program(10_000); 4], t)
     };
     let mut base_telemetry = Telemetry::new();
-    let base = run(1, &mut base_telemetry);
+    let base = run(true, &mut base_telemetry);
     match &base {
         Err(MachineError::Cancelled {
             at_cycle: 20,
@@ -210,16 +207,13 @@ fn spatial_deadline_shard_identity() {
         }) => assert_eq!(partial.cycles, 20),
         other => panic!("expected Cancelled at 20, got {other:?}"),
     }
-    for shards in [2usize, 8, 0] {
-        let mut telemetry = Telemetry::new();
-        let outcome = run(shards, &mut telemetry);
-        assert_eq!(format!("{base:?}"), format!("{outcome:?}"), "x{shards}");
-        assert_eq!(
-            base_telemetry.trace.class_counts(),
-            telemetry.trace.class_counts(),
-            "x{shards}"
-        );
-    }
+    let mut telemetry = Telemetry::new();
+    let outcome = run(false, &mut telemetry);
+    assert_eq!(format!("{base:?}"), format!("{outcome:?}"));
+    assert_eq!(
+        base_telemetry.trace.class_counts(),
+        telemetry.trace.class_counts()
+    );
 }
 
 // -------------------------------------------------------------------------
@@ -252,12 +246,11 @@ fn dataflow_deadline_identical_on_both_schedulers() {
 }
 
 // -------------------------------------------------------------------------
-// Universal fabric (USP), single-threaded and region-sharded
+// Universal fabric (USP), incremental and dense clock edges
 // -------------------------------------------------------------------------
 
-/// Two disconnected toggle flip-flops: two weakly-connected regions, so
-/// the fabric can shard, and a predicate that never holds keeps it
-/// clocking until something trips.
+/// Two disconnected toggle flip-flops, and a predicate that never holds
+/// keeps the fabric clocking until something trips.
 fn two_region_togglers() -> Bitstream {
     let toggler = |_: usize| CellConfig {
         lut: LutCell::new(2, tables::XOR2.to_vec()).unwrap(),
@@ -273,28 +266,28 @@ fn two_region_togglers() -> Bitstream {
 }
 
 #[test]
-fn fabric_deadline_shard_identity() {
+fn fabric_deadline_identical_on_both_clock_paths() {
     let fabric = LutFabric::new(4, 2, 1);
-    let run = |shards: usize| {
+    let run = |dense: bool| {
         let mut f = fabric
             .configure(&two_region_togglers())
             .unwrap()
-            .with_shards(shards)
+            .with_dense_reference(dense)
             .with_cancel(CancelToken::new().with_deadline(10));
         f.run_until(&[true], 32, |_| false)
     };
-    for shards in [1usize, 2] {
-        match run(shards) {
+    for dense in [false, true] {
+        match run(dense) {
             Err(MachineError::Cancelled {
                 at_cycle: 10,
                 partial,
             }) => {
-                assert_eq!(partial.cycles, 10, "x{shards}");
+                assert_eq!(partial.cycles, 10, "dense={dense}");
             }
-            other => panic!("x{shards}: expected Cancelled at 10, got {other:?}"),
+            other => panic!("dense={dense}: expected Cancelled at 10, got {other:?}"),
         }
     }
-    assert_eq!(format!("{:?}", run(1)), format!("{:?}", run(2)));
+    assert_eq!(format!("{:?}", run(false)), format!("{:?}", run(true)));
 }
 
 // -------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 //! Golden fault-roll values: the stall schedule, flip draws and
 //! resilient-run outcomes of fixed seeded plans, pinned so any change to
 //! the roll semantics (thresholds, draw order, hashing) fails here.
-//! The values were recorded before the rolls moved from `f64`
+//! The roll values were recorded before the rolls moved from `f64`
 //! comparisons to integer thresholds (DESIGN.md §7), which must keep
-//! every decision bit-identical.
+//! every decision bit-identical; the run outcomes say when they were
+//! re-recorded.
 
 use skilltax_machine::array::{ArrayMachine, ArraySubtype};
 use skilltax_machine::multi::{MultiMachine, MultiSubtype};
@@ -85,6 +86,9 @@ fn stall_and_flip_rolls_are_pinned() {
     );
 }
 
+/// Re-recorded when MIMD stalls moved from one hashed roll per core per
+/// cycle to one stall run per fetch, drawn from each core's own stream
+/// (DESIGN.md §7): the same stall law, different outcomes.
 #[test]
 fn multi_stall_storm_outcome_is_pinned() {
     let mut m = MultiMachine::new(MultiSubtype::from_index(1).unwrap(), 8, 16);
@@ -95,15 +99,15 @@ fn multi_stall_storm_outcome_is_pinned() {
         out,
         RunOutcome {
             stats: Stats {
-                cycles: 135,
+                cycles: 129,
                 instructions: 664,
                 alu_ops: 320,
                 mem_reads: 0,
                 mem_writes: 0,
                 messages: 0,
-                stalls: 300,
+                stalls: 273,
             },
-            faults_injected: 300,
+            faults_injected: 273,
             retries: 0,
             degraded: false,
         }

@@ -3,7 +3,7 @@
 //! MIMD core must do exactly what stepping the same program one
 //! instruction at a time through [`DataProcessor::execute_local`] does —
 //! the same registers, memory, clock, `Stats`, operation counters, end
-//! kind and error, at every cycle bound and under hashed stalls.
+//! kind and error, at every cycle bound and under sampled stall runs.
 //!
 //! The array's lockstep kernel, which decodes each broadcast once and
 //! runs the opcode over every live lane, must likewise match a reference
@@ -11,10 +11,11 @@
 //! with the sampled stall runs spent one cycle at a time.
 //!
 //! The reference below is the per-instruction loop the kernel replaced:
-//! before each fetch it asks the fault plan whether the processor stalls
-//! this cycle, a fabric instruction or the end of the program stops it
-//! without a charge, and every executed instruction (a `Halt` and one
-//! whose memory access fails included) costs one cycle and one issue.
+//! before each fetch it spends the fetch's stall run from the core's
+//! stall stream one cycle at a time, a fabric instruction or the end of
+//! the program stops it without a charge, and every executed instruction
+//! (a `Halt` and one whose memory access fails included) costs one cycle
+//! and one issue.
 
 use skilltax_machine::array::{ArrayMachine, ArraySubtype};
 use skilltax_machine::dp::{DataProcessor, LocalOutcome};
@@ -22,8 +23,8 @@ use skilltax_machine::mem::{BankedMemory, DataTopology};
 use skilltax_machine::multi::{MultiMachine, MultiSubtype};
 use skilltax_machine::uniprocessor::UniProcessor;
 use skilltax_machine::{
-    EventKind, FaultKind, FaultPlan, Instr, MachineError, NullTracer, Program, RunOutcome, Stats,
-    Telemetry, Tracer, Word,
+    EventKind, FaultKind, FaultPlan, Instr, LinkOutage, MachineError, NullTracer, Program,
+    RunOutcome, Stats, Telemetry, Tracer, Word,
 };
 use skilltax_model::rng::XorShift64;
 
@@ -71,9 +72,12 @@ impl Reference {
         lane: usize,
         mem: BankedMemory,
         limit: u64,
-        mut plan: Option<FaultPlan>,
+        plan: Option<FaultPlan>,
         tracer: &mut T,
     ) -> Reference {
+        // Core `lane` drives data processor `lane`: no rebinding here.
+        let law = plan.as_ref().and_then(FaultPlan::stall_law);
+        let mut stream = plan.map(|p| p.stall_stream(lane, lane));
         let mut r = Reference {
             dp: DataProcessor::new(lane),
             mem,
@@ -89,8 +93,8 @@ impl Reference {
             if r.cycle >= limit {
                 break Stop::Bound;
             }
-            if let Some(plan) = plan.as_mut() {
-                if plan.dp_stalled(r.cycle + 1, lane) {
+            if let (Some(law), Some(stream)) = (&law, stream.as_mut()) {
+                if stream.fetch_at(law, r.cycle + 1, limit) > r.cycle + 1 {
                     r.cycle += 1;
                     r.stalls += 1;
                     tracer.record(r.cycle, EventKind::FaultInjected(FaultKind::Stall));
@@ -450,6 +454,43 @@ fn decoupled_multi_runs_match_single_steps_with_and_without_stalls() {
     }
     coverage.assert_complete(false);
     assert!(coverage.stalls > 0);
+}
+
+#[test]
+fn rate_zero_plans_run_like_no_plan() {
+    // A plan without a stall rate (here a link outage nothing sends over)
+    // runs the kernel instance without stall draws: every outcome equals
+    // the fault-free run's, with no fault injected.
+    let mut rng = XorShift64::new(0x2E50);
+    let mut coverage = Coverage::default();
+    for case in 0..60u64 {
+        let cores = 2 + rng.below(2) as usize;
+        let programs: Vec<Program> = (0..cores)
+            .map(|_| random_program(&mut rng, false))
+            .collect();
+        let plan = FaultPlan::seeded(case)
+            .stall_dps(0.0)
+            .fail_link(LinkOutage {
+                from: 0,
+                to: 1,
+                from_cycle: 0,
+                until_cycle: u64::MAX,
+            });
+        for limit in [Q - 1, Q + 1, 4 * Q] {
+            let label = format!("rate-0 case {case} limit {limit}");
+            check_multi(&label, 0, &programs, limit, None, &mut coverage);
+            check_multi(
+                &label,
+                0,
+                &programs,
+                limit,
+                Some(plan.clone()),
+                &mut coverage,
+            );
+        }
+    }
+    assert!(coverage.ends[0] > 0 && coverage.ends[1] + coverage.ends[2] > 0);
+    assert_eq!(coverage.stalls, 0);
 }
 
 /// Fails with an out-of-bounds load on exactly cycle `cycle` (>= 6).

@@ -1,6 +1,6 @@
 //! The span profiler's correctness contract, asserted end to end (the
 //! profiling mirror of `tests/telemetry.rs`): for every machine family,
-//! under dense, event-driven and sharded scheduling, the hierarchical
+//! under dense and event-driven scheduling, the hierarchical
 //! phase spans recorded by a [`SpanProfile`] are strictly nested,
 //! monotonically stamped, and their **leaf** cycle extents sum exactly to
 //! the run's [`Stats`] cycle total — on clean runs, on faulty resilient
@@ -16,9 +16,7 @@ use skilltax_machine::profile::{Phase, Profiled, SpanProfile};
 use skilltax_machine::spatial::SpatialMachine;
 use skilltax_machine::telemetry::Telemetry;
 use skilltax_machine::uniprocessor::UniProcessor;
-use skilltax_machine::workload::{
-    run_backoff_storm_backward_multi_sharded, run_fabric_counters_traced,
-};
+use skilltax_machine::workload::{run_backoff_storm_multi_traced, run_fabric_counters_traced};
 use skilltax_machine::{Assembler, Instr, MachineError, Program, Word};
 
 /// Count to `iters` and halt.
@@ -117,16 +115,11 @@ fn array_profile_reconciles_with_a_lanes_leaf() {
 }
 
 #[test]
-fn multi_profile_reconciles_under_all_three_schedulers() {
+fn multi_profile_reconciles_under_both_schedulers() {
     let programs: Vec<Program> = (0..8).map(|i| spin_program(20 + 15 * i as Word)).collect();
-    for (label, dense, shards) in [
-        ("multi dense", true, 1usize),
-        ("multi event", false, 1),
-        ("multi sharded", false, 2),
-    ] {
+    for (label, dense) in [("multi dense", true), ("multi event", false)] {
         let mut m = MultiMachine::new(MultiSubtype::from_index(1).unwrap(), 8, 4)
-            .with_dense_reference(dense)
-            .with_shards(shards);
+            .with_dense_reference(dense);
         let mut p = SpanProfile::new();
         let stats = m.run_traced(&programs, &mut p).unwrap();
         p.seal();
@@ -137,43 +130,24 @@ fn multi_profile_reconciles_under_all_three_schedulers() {
 #[test]
 fn multi_backoff_warp_spans_still_tile_the_run() {
     // A transient link outage puts the sender into exponential backoff:
-    // the event and sharded schedulers time-warp over the sleep, which
-    // must surface as Warp leaf spans that keep the tiling exact.
-    let mut baseline = None;
-    for (label, shards) in [("event", 1usize), ("sharded", 2)] {
-        let mut p = SpanProfile::new();
-        let run = run_backoff_storm_backward_multi_sharded(3_000, 60, shards, &mut p).unwrap();
-        p.seal();
-        assert_profile_reconciles(&p, run.stats.cycles, label);
-        assert!(
-            p.spans().iter().any(|s| s.phase == Phase::Warp),
-            "{label}: backoff sleep should warp"
-        );
-        let warped: u64 = p
-            .spans()
-            .iter()
-            .filter(|s| s.phase == Phase::Warp)
-            .map(|s| s.extent())
-            .sum();
-        assert!(warped > 0, "{label}: warp spans cover no cycles");
-        match baseline {
-            None => baseline = Some((run.stats.cycles, warped)),
-            Some(b) => assert_eq!(
-                b,
-                (run.stats.cycles, warped),
-                "{label}: warp accounting diverged from the event scheduler"
-            ),
-        }
-    }
+    // the event scheduler time-warps over the sleep, which must surface
+    // as Warp leaf spans that keep the tiling exact.
+    let mut p = SpanProfile::new();
+    let run = run_backoff_storm_multi_traced(3_000, 60, false, &mut p).unwrap();
+    p.seal();
+    assert_profile_reconciles(&p, run.stats.cycles, "event");
+    let warped: u64 = p
+        .spans()
+        .iter()
+        .filter(|s| s.phase == Phase::Warp)
+        .map(|s| s.extent())
+        .sum();
+    assert!(warped > 0, "backoff sleep should warp");
 }
 
 #[test]
-fn spatial_profile_reconciles_under_all_three_schedulers() {
-    for (label, dense, shards) in [
-        ("spatial dense", true, 1usize),
-        ("spatial event", false, 1),
-        ("spatial sharded", false, 2),
-    ] {
+fn spatial_profile_reconciles_under_both_schedulers() {
+    for (label, dense) in [("spatial dense", true), ("spatial event", false)] {
         let mut m = SpatialMachine::new(
             MultiSubtype::from_index(1).unwrap(),
             FabricTopology::Crossbar,
@@ -181,8 +155,7 @@ fn spatial_profile_reconciles_under_all_three_schedulers() {
             4,
         )
         .unwrap()
-        .with_dense_reference(dense)
-        .with_shards(shards);
+        .with_dense_reference(dense);
         m.fuse(0, 1).unwrap();
         m.fuse(2, 3).unwrap();
         let programs = vec![
@@ -195,12 +168,6 @@ fn spatial_profile_reconciles_under_all_three_schedulers() {
         let stats = m.run_traced(&programs, &mut p).unwrap();
         p.seal();
         assert_profile_reconciles(&p, stats.cycles, label);
-        if shards > 1 {
-            assert!(
-                p.mark_counts().iter().any(|(ph, _)| *ph == Phase::Barrier),
-                "sharded spatial runs mark their slice barriers"
-            );
-        }
     }
 }
 
@@ -223,13 +190,11 @@ fn dataflow_profile_reconciles_dense_and_event() {
 }
 
 #[test]
-fn fabric_profile_reconciles_plain_and_sharded() {
-    for (label, shards) in [("fabric plain", 1usize), ("fabric sharded", 2)] {
-        let mut p = SpanProfile::new();
-        let run = run_fabric_counters_traced(3, shards, 64, &mut p).unwrap();
-        p.seal();
-        assert_profile_reconciles(&p, run.stats.cycles, label);
-    }
+fn fabric_profile_reconciles() {
+    let mut p = SpanProfile::new();
+    let run = run_fabric_counters_traced(3, 64, &mut p).unwrap();
+    p.seal();
+    assert_profile_reconciles(&p, run.stats.cycles, "fabric");
 }
 
 #[test]

@@ -19,7 +19,8 @@ use skilltax_machine::workload::{
     run_stagger_spatial_traced,
 };
 use skilltax_machine::{
-    Assembler, FaultPlan, Instr, MachineError, NullTracer, Program, Stats, Telemetry, Word,
+    Assembler, FaultPlan, Instr, LinkOutage, MachineError, NullTracer, Program, Stats, Telemetry,
+    Word,
 };
 
 /// Run a closure once per scheduler and assert identical outcomes: equal
@@ -168,6 +169,115 @@ fn multi_backoff_storm_identity() {
     assert_twin("retry exhausted", |dense, t| {
         run_backoff_storm_multi_traced(u64::MAX, 5, dense, t).map(|r| r.stats)
     });
+}
+
+/// Six IMP-X cores (DP–DP and IP–DP crossbars): messages between
+/// staggered spinners, a receiver that blocks for most of the run, and —
+/// with `failing` — a core whose load leaves its bank on cycle 26.
+fn stall_storm_programs(failing: bool) -> Vec<Program> {
+    let spin_then = |iters: Word, tail: &[Instr]| {
+        let mut asm = Assembler::new();
+        asm.movi(0, 0).movi(1, iters);
+        asm.label("loop").unwrap();
+        asm.emit(Instr::AddI(0, 0, 1));
+        asm.blt(0, 1, "loop");
+        for &instr in tail {
+            asm.emit(instr);
+        }
+        asm.emit(Instr::Halt);
+        asm.assemble().unwrap()
+    };
+    let third = if failing {
+        spin_then(12, &[Instr::MovI(2, -1), Instr::Load(3, 2)])
+    } else {
+        spin_then(25, &[])
+    };
+    vec![
+        spin_then(15, &[Instr::MovI(2, 7), Instr::Send(1, 2)]),
+        spin_then(
+            1,
+            &[
+                Instr::Recv(3, 0),
+                Instr::Recv(4, 2),
+                Instr::MovI(2, 0),
+                Instr::Store(2, 4),
+            ],
+        ),
+        spin_then(2, &[Instr::MovI(2, 9), Instr::Send(1, 2)]),
+        third,
+        spin_then(1, &[Instr::Recv(5, 5), Instr::Store(0, 5)]),
+        spin_then(40, &[Instr::MovI(2, 11), Instr::Send(4, 2)]),
+    ]
+}
+
+#[test]
+fn multi_stall_runs_identity_with_messages_backoff_and_a_dead_dp() {
+    // Stall runs put cores to sleep in the event scheduler until their
+    // fetch; the dense loop spends them a cycle at a time.  Mixed with
+    // link-outage backoff, blocked receives, a dead DP whose program
+    // replays on a spare, a memory error while others sleep, and budgets
+    // that cut a run (rate 1 never fetches again), both schedulers must
+    // report the same outcome — faults injected included — and the same
+    // event-class totals.
+    let outage = |until| LinkOutage {
+        from: 0,
+        to: 1,
+        from_cycle: 0,
+        until_cycle: until,
+    };
+    // Completed, degraded, watchdog and other errors.
+    let mut seen = [0u32; 4];
+    let mut cut = 0;
+    for seed in 0..6u64 {
+        let plans = [
+            FaultPlan::seeded(seed).stall_dps(0.3),
+            FaultPlan::seeded(seed).stall_dps(0.7).fail_link(outage(40)),
+            FaultPlan::seeded(seed).stall_dps(0.5).fail_dp(3),
+            FaultPlan::seeded(seed).stall_dps(0.2).fail_dp(4),
+            FaultPlan::seeded(seed).stall_dps(0.9).fail_link(outage(8)),
+            FaultPlan::seeded(seed).stall_dps(1.0),
+            FaultPlan::seeded(seed).fail_link(outage(30)),
+        ];
+        for plan in plans {
+            for limit in [100_000, 150, 61] {
+                for failing in [false, true] {
+                    let label = format!("seed {seed} limit {limit} failing {failing} {plan:?}");
+                    let run = |dense: bool, t: &mut Telemetry| {
+                        let mut m =
+                            MultiMachine::new(MultiSubtype::from_code(0b1001).unwrap(), 6, 4)
+                                .with_cycle_limit(limit)
+                                .with_dense_reference(dense);
+                        m.run_resilient_traced(&stall_storm_programs(failing), plan.clone(), t)
+                    };
+                    let (mut event_t, mut dense_t) = (Telemetry::new(), Telemetry::new());
+                    let event = run(false, &mut event_t);
+                    let dense = run(true, &mut dense_t);
+                    assert_eq!(format!("{event:?}"), format!("{dense:?}"), "{label}");
+                    assert_eq!(
+                        event_t.trace.class_counts(),
+                        dense_t.trace.class_counts(),
+                        "{label}: event-class totals diverged"
+                    );
+                    // Untraced, the event scheduler runs without hooks.
+                    let mut m = MultiMachine::new(MultiSubtype::from_code(0b1001).unwrap(), 6, 4)
+                        .with_cycle_limit(limit);
+                    let untraced = m.run_resilient(&stall_storm_programs(failing), plan.clone());
+                    assert_eq!(format!("{untraced:?}"), format!("{dense:?}"), "{label}");
+                    let slot = match dense {
+                        Ok(outcome) => usize::from(outcome.degraded),
+                        Err(MachineError::WatchdogTimeout { partial, .. }) => {
+                            cut += u64::from(partial.stalls > 0);
+                            2
+                        }
+                        Err(_) => 3,
+                    };
+                    seen[slot] += 1;
+                }
+            }
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    assert!(cut > 0, "no budget cut a stall run");
 }
 
 // -------------------------------------------------------------------------

@@ -2,14 +2,11 @@
 //!
 //! Environment mutation is process-global, so this binary holds exactly
 //! one test: it walks the knob through forced, zero ("auto"), unparsable
-//! and unset states and checks both [`configured_threads`] and the
-//! machinery built on it (`sweep::parallel_map`, the sharded runners'
-//! `with_shards(0)` width) keep working at every setting.
+//! and unset states and checks both [`configured_threads`] and the sweep
+//! built on it (`sweep::parallel_map`) keep working at every setting.
 
 use skilltax_machine::configured_threads;
 use skilltax_machine::sweep::parallel_map;
-use skilltax_machine::workload::run_mimd_stagger_multi_sharded;
-use skilltax_machine::NullTracer;
 
 #[test]
 fn skilltax_threads_override_is_honoured_everywhere() {
@@ -21,13 +18,9 @@ fn skilltax_threads_override_is_honoured_everywhere() {
     for forced in [1usize, 2, 8] {
         std::env::set_var("SKILLTAX_THREADS", forced.to_string());
         assert_eq!(configured_threads(), forced, "forced {forced}");
-        // The sweep and the auto-width sharded runner both still produce
-        // correct results at this width.
+        // The sweep still produces correct results at this width.
         let squares = parallel_map((0..33u64).collect(), |&x| x * x);
         assert_eq!(squares, (0..33u64).map(|x| x * x).collect::<Vec<u64>>());
-        let run = run_mimd_stagger_multi_sharded(16, 64, 0, &mut NullTracer).unwrap();
-        assert_eq!(run.outputs[0], 64, "long core count at width {forced}");
-        assert!(run.outputs[1..].iter().all(|&v| v == 8));
     }
 
     // Zero, junk, and unset all fall back to available_parallelism.

@@ -37,6 +37,7 @@ impl XorShift64 {
     }
 
     /// The next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;

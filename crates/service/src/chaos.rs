@@ -18,8 +18,8 @@
 //! * hostile tenants (oversized, deadline-violating, fault-storming,
 //!   flooding) get *typed* refusals or typed degraded outcomes, never
 //!   collateral damage on the steady tenant;
-//! * deadline cancellation is bit-identical across the dense, event and
-//!   sharded schedulers.
+//! * deadline cancellation is bit-identical across the dense and event
+//!   schedulers.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -301,9 +301,9 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     }
 
     // Scheduler-identity probe: the same deadline job must cancel at the
-    // same cycle with bit-identical partial stats under all schedulers.
+    // same cycle with bit-identical partial stats under both schedulers.
     let mut probes = Vec::new();
-    for scheduler in [Scheduler::Dense, Scheduler::Event, Scheduler::Sharded(2)] {
+    for scheduler in [Scheduler::Dense, Scheduler::Event] {
         let request = JobRequest {
             tenant: "probe".into(),
             kind: JobKind::Simulate {

@@ -356,7 +356,6 @@ impl Engine {
         match scheduler {
             Scheduler::Dense => m.with_dense_reference(true),
             Scheduler::Event => m,
-            Scheduler::Sharded(n) => m.with_shards(n),
         }
     }
 
@@ -766,8 +765,6 @@ pub(crate) mod tests {
         };
         let dense = run(Scheduler::Dense);
         assert_eq!(dense, run(Scheduler::Event));
-        assert_eq!(dense, run(Scheduler::Sharded(2)));
-        assert_eq!(dense, run(Scheduler::Sharded(0)));
     }
 
     #[test]

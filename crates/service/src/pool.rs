@@ -8,7 +8,7 @@
 //! (a refcount bump, not an allocation), [`UniProcessor::reset`] scrubs
 //! state without reallocating, and check-in restores the machine's own
 //! house token the same way.  `tests/pool_alloc.rs` pins this with a
-//! counting allocator, mirroring the machine crate's `shard_alloc`
+//! counting allocator, mirroring the machine crate's `mailbox_alloc`
 //! suite.
 
 use std::sync::atomic::{AtomicU64, Ordering};

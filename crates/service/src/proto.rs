@@ -32,16 +32,14 @@ impl Default for RequestLimits {
     }
 }
 
-/// Which scheduler a simulate job runs under (the service exposes all
-/// three so clients can cross-check the identity contract end to end).
+/// Which scheduler a simulate job runs under (the service exposes both
+/// so clients can cross-check the identity contract end to end).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// The dense per-cycle reference loop.
     Dense,
     /// The event-driven active-set loop (the default).
     Event,
-    /// The shard-parallel runner with the given width (`0` = auto).
-    Sharded(usize),
 }
 
 /// What a job asks the service to compute.
@@ -298,7 +296,8 @@ impl JobOutcome {
 /// Recognised keys: `tenant`, `kind` (`classify` | `estimate` |
 /// `simulate` | `sweep` | `faultsweep`), `name`, `row`, `cores` (single
 /// number, or a comma list for sweeps), `iters`, `scheduler` (`dense` |
-/// `event` | `sharded` | `sharded:N`), `fault_seed`, `deadline_cycles`,
+/// `event`; anything else, the removed `sharded[:N]` included, is
+/// malformed), `fault_seed`, `deadline_cycles`,
 /// and for fault sweeps `subtype` (`I`..`IV`), `lanes`, `seeds`,
 /// `stall_ppm`, `flip_ppm` (fault rates as integer parts per million).
 pub fn parse_request(body: &str) -> Result<JobRequest, Rejection> {
@@ -336,17 +335,11 @@ pub fn parse_request(body: &str) -> Result<JobRequest, Rejection> {
                 scheduler = match value {
                     "dense" => Scheduler::Dense,
                     "event" => Scheduler::Event,
-                    "sharded" => Scheduler::Sharded(0),
-                    other => match other.strip_prefix("sharded:") {
-                        Some(n) => Scheduler::Sharded(n.parse().map_err(|_| {
-                            Rejection::Malformed(format!("bad shard width: {other:?}"))
-                        })?),
-                        None => {
-                            return Err(Rejection::Malformed(format!(
-                                "unknown scheduler: {other:?}"
-                            )))
-                        }
-                    },
+                    other => {
+                        return Err(Rejection::Malformed(format!(
+                            "unknown scheduler: {other:?} (expected dense or event)"
+                        )))
+                    }
                 }
             }
             "fault_seed" => {
@@ -628,7 +621,7 @@ mod tests {
     #[test]
     fn parses_a_simulate_request() {
         let req = parse_request(
-            "tenant=acme&kind=simulate&cores=16&iters=500&scheduler=sharded:2\
+            "tenant=acme&kind=simulate&cores=16&iters=500&scheduler=dense\
              &fault_seed=7&deadline_cycles=1000",
         )
         .unwrap();
@@ -642,7 +635,7 @@ mod tests {
                 fault_seed,
             } => {
                 assert_eq!((cores, iters), (16, 500));
-                assert_eq!(scheduler, Scheduler::Sharded(2));
+                assert_eq!(scheduler, Scheduler::Dense);
                 assert_eq!(fault_seed, Some(7));
             }
             other => panic!("wrong kind: {other:?}"),
@@ -711,6 +704,8 @@ mod tests {
             "tenant=t&kind=faultsweep&lanes=0",   // degenerate array
             "tenant=t&kind=faultsweep&seeds=0",   // empty population
             "tenant=t&kind=faultsweep&stall_ppm=-1",
+            "tenant=t&kind=simulate&scheduler=sharded", // removed scheduler
+            "tenant=t&kind=simulate&scheduler=sharded:2",
         ] {
             assert!(
                 matches!(parse_request(body), Err(Rejection::Malformed(_))),

@@ -137,6 +137,29 @@ fn malformed_and_oversized_map_to_typed_4xx() {
 }
 
 #[test]
+fn the_removed_sharded_scheduler_is_a_malformed_request() {
+    // `scheduler=sharded[:N]` named the shard-parallel runner, which is
+    // gone: the body is a typed 400 naming the schedulers that remain.
+    let (_service, server) = start(8, 1);
+    let addr = server.local_addr();
+    for scheduler in ["sharded", "sharded:2"] {
+        let body = format!("tenant=t&kind=simulate&cores=4&iters=10&scheduler={scheduler}");
+        let response = post_jobs(addr, &body);
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert!(
+            response.contains("\"rejected\":\"malformed\""),
+            "{response}"
+        );
+        assert!(response.contains("expected dense or event"), "{response}");
+    }
+    let response = post_jobs(
+        addr,
+        "tenant=t&kind=simulate&cores=4&iters=10&scheduler=dense",
+    );
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+}
+
+#[test]
 fn a_full_queue_is_429_with_a_retry_after_header() {
     let (service, server) = start(2, 1);
     service.pause();

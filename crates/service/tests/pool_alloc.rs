@@ -4,7 +4,7 @@
 //! steady state**: the pool hands out a reset machine, the request token
 //! is installed by cloning an `Arc` (a refcount bump), the spin program
 //! comes out of the engine's `Arc` cache, and the run loop itself never
-//! touches the heap.  Mirroring the machine crate's `shard_alloc` suite,
+//! touches the heap.  Mirroring the machine crate's `mailbox_alloc` suite,
 //! a counting global allocator pins this down two ways: repeated warm
 //! requests allocate *zero* bytes, and quadrupling the work per request
 //! does not change the allocation count.

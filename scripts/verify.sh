@@ -45,18 +45,6 @@ cargo test --release --offline -p skilltax-machine --test decoupled_identity -q
 echo "==> cargo test --release --offline -p skilltax-machine --test kernel_identity"
 cargo test --release --offline -p skilltax-machine --test kernel_identity -q
 
-# Shard identity: the shard-parallel runners must stay counter-exact
-# twins of the single-threaded schedulers (DESIGN.md §10) at every
-# thread width, so the suite repeats under a pinned SKILLTAX_THREADS:
-# 1 (auto collapses to single-threaded), 2 and 8 (oversubscribed on
-# small hosts, which is exactly the stress the barrier must survive).
-for threads in 1 2 8; do
-    echo "==> SKILLTAX_THREADS=$threads cargo test --release --offline -p skilltax-machine --test shard_identity"
-    SKILLTAX_THREADS=$threads \
-        cargo test --release --offline -p skilltax-machine \
-        --test shard_identity -q
-done
-
 # Chaos soak: the multi-tenant service under a seeded hostile tenant
 # mix (DESIGN.md §11).  SKILLTAX_SOAK_SECONDS maps deterministically to
 # a round count, so this short gate replays bit-identically; the
