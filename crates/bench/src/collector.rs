@@ -42,7 +42,6 @@ use skilltax_machine::{Assembler, CancelToken, FaultPlan, Instr, Program, Stats,
 use skilltax_service::admission::{DrrQueue, QueuedJob};
 use skilltax_service::{
     run_chaos, ChaosConfig, Engine, EngineConfig, JobKind, JobOutcome, JobRequest,
-    Scheduler as ServiceScheduler,
 };
 use skilltax_taxonomy::{classify, flexibility_of_spec, Taxonomy};
 
@@ -683,7 +682,6 @@ pub fn suite() -> Vec<SuiteBench> {
                     kind: JobKind::Simulate {
                         cores: 1,
                         iters: 400,
-                        scheduler: ServiceScheduler::Event,
                         fault_seed: None,
                     },
                     deadline_cycles: None,

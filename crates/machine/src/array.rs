@@ -27,7 +27,7 @@ use crate::isa::{Instr, Word};
 use crate::mem::{BankedMemory, DataTopology};
 use crate::profile::Phase;
 use crate::program::Program;
-use crate::telemetry::{EventKind, FaultKind, NullTracer, Tracer};
+use crate::telemetry::{EventKind, NullTracer, Tracer};
 use crate::uniprocessor::DEFAULT_CYCLE_LIMIT;
 
 /// The four array sub-types.
@@ -130,10 +130,11 @@ impl ArrayMachine {
     }
 
     /// Step the broadcast lane by lane through
-    /// [`DataProcessor::execute_traced`] over the alive mask (the dense
-    /// reference) instead of the opcode-hoisted kernel over the
-    /// precomputed live-lane set (see DESIGN.md §9); the two take the
-    /// same stall runs and are counter-identical.
+    /// [`DataProcessor::execute_traced`] over the alive mask, and stall
+    /// runs a cycle at a time (the dense reference), instead of the
+    /// opcode-hoisted kernel over the precomputed live-lane set (see
+    /// DESIGN.md §9); the two take the same stall runs and bit flips and
+    /// are counter-identical.
     pub fn with_dense_reference(mut self, dense: bool) -> ArrayMachine {
         self.dense_reference = dense;
         self
@@ -220,11 +221,11 @@ impl ArrayMachine {
     /// `self.alive` marks, with an optional fault plan.  Control flow
     /// follows the first alive lane.  Under a plan, broadcast `k` first
     /// waits out the stall run [`StallRuns::run`] draws for it — one
-    /// stalled cycle holds back the whole broadcast — and every cycle,
-    /// stalled or issuing, takes one bit-flip roll.  Exceeding the cycle
-    /// budget returns [`MachineError::WatchdogTimeout`] with partial
-    /// statistics; the cancellation flag is polled once per broadcast
-    /// and at least every [`QUANTUM`] cycles of a stall run.
+    /// stalled cycle holds back the whole broadcast — and the bit flips
+    /// due by a cycle land before the broadcast issues on it.  Exceeding
+    /// the cycle budget returns [`MachineError::WatchdogTimeout`] with
+    /// partial statistics; the cancellation flag is polled once per
+    /// broadcast and at least every [`QUANTUM`] cycles of a stall run.
     fn run_masked<T: Tracer>(
         &mut self,
         program: &Program,
@@ -248,15 +249,14 @@ impl ArrayMachine {
         self.base.clear();
         self.base
             .extend(self.lanes.iter().map(DataProcessor::counters));
-        let runs = faults
-            .as_deref()
-            .map_or(StallRuns::Never, |plan| plan.stall_runs(self.live.len()));
-        // Stall cycles run one by one only when something happens on
-        // them: a bit-flip roll or a trace event.
-        let per_cycle = tracer.enabled()
-            || faults
-                .as_deref()
-                .is_some_and(FaultPlan::has_per_cycle_rolls);
+        let runs = faults.as_deref_mut().map_or(StallRuns::Never, |plan| {
+            plan.start_flips(&self.mem);
+            plan.stall_runs(self.live.len())
+        });
+        // Stall cycles run one by one only for a trace event on each, or
+        // in the dense reference; otherwise a run is one addition and
+        // the flips inside it land at its end.
+        let per_cycle = tracer.enabled() || self.dense_reference;
         let budget = RunBudget::resolve(self.cycle_limit, &self.cancel);
         let limit = budget.limit();
         tracer.span_enter(0, Phase::Run);
@@ -281,16 +281,12 @@ impl ArrayMachine {
                     if per_cycle {
                         for _ in 0..chunk {
                             stats.cycles += 1;
-                            if plan.maybe_flip_memory(&mut self.mem) {
-                                tracer.record(
-                                    stats.cycles,
-                                    EventKind::FaultInjected(FaultKind::BitFlip),
-                                );
-                            }
+                            plan.flip_through(stats.cycles, &mut self.mem, tracer);
                             tracer.record(stats.cycles, EventKind::Stall);
                         }
                     } else {
                         stats.cycles += chunk;
+                        plan.flip_through(stats.cycles, &mut self.mem, tracer);
                     }
                     stats.stalls += chunk;
                     plan.charge_stalls(chunk);
@@ -303,9 +299,7 @@ impl ArrayMachine {
                     }
                 }
                 stats.cycles += 1;
-                if plan.maybe_flip_memory(&mut self.mem) {
-                    tracer.record(stats.cycles, EventKind::FaultInjected(FaultKind::BitFlip));
-                }
+                plan.flip_through(stats.cycles, &mut self.mem, tracer);
             } else {
                 stats.cycles += 1;
             }

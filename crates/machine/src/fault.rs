@@ -15,12 +15,15 @@
 //! is reproducible from its seed.
 
 use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 use skilltax_model::rng::XorShift64;
 
 use crate::error::MachineError;
 use crate::exec::Stats;
 use crate::isa::Word;
+use crate::mem::BankedMemory;
+use crate::telemetry::{EventKind, FaultKind, Tracer};
 
 /// Default bound on send retries after repeated link failures.
 pub const DEFAULT_MAX_RETRIES: u32 = 8;
@@ -43,8 +46,8 @@ pub struct LinkOutage {
 }
 
 /// A deterministic fault schedule: permanent DP failures, link outage
-/// windows, and seeded per-cycle probabilistic faults (drops, corruption,
-/// stalls, bit-flips).
+/// windows, and seeded probabilistic faults (drops and corruption per
+/// message, stall runs per fetch or broadcast, bit-flips per keyed gap).
 ///
 /// Cloning a plan clones the PRNG state, so two components holding clones
 /// roll decorrelated-but-reproducible streams (each query sequence is
@@ -65,7 +68,13 @@ pub struct FaultPlan {
     drop_threshold: u64,
     corrupt_threshold: u64,
     stall_threshold: u64,
-    flip_threshold: u64,
+    /// The MIMD stall law of `stall_threshold`, built on first use and
+    /// kept by every clone and fork made after it (array and dataflow
+    /// runs never build it).
+    stall_law: OnceLock<Arc<StallLaw>>,
+    /// The bit-flip schedule; during a run, its next flip due
+    /// ([`FaultPlan::start_flips`]).
+    flips: FlipSchedule,
     max_retries: u32,
     injected: u64,
 }
@@ -81,7 +90,8 @@ impl FaultPlan {
             drop_threshold: 0,
             corrupt_threshold: 0,
             stall_threshold: 0,
-            flip_threshold: 0,
+            stall_law: OnceLock::new(),
+            flips: FlipSchedule::new(seed, 0.0),
             max_retries: DEFAULT_MAX_RETRIES,
             injected: 0,
         }
@@ -115,12 +125,15 @@ impl FaultPlan {
     /// stage: `P(a fetch waits ≥ s cycles) = rate^s`.
     pub fn stall_dps(mut self, rate: f64) -> FaultPlan {
         self.stall_threshold = threshold(rate);
+        self.stall_law = OnceLock::new();
         self
     }
 
-    /// Flip one memory bit per cycle with probability `rate`.
+    /// Flip one memory bit per cycle with probability `rate`, drawn as
+    /// the gaps between flips ([`FlipSchedule`]).
     pub fn flip_memory_bits(mut self, rate: f64) -> FaultPlan {
-        self.flip_threshold = threshold(rate);
+        let p = threshold(rate) as f64 / UNIT as f64;
+        self.flips = FlipSchedule::new(self.flips.key, (-p).ln_1p());
         self
     }
 
@@ -148,22 +161,6 @@ impl FaultPlan {
     /// Faults actually injected so far (every query that fired counts).
     pub fn injected(&self) -> u64 {
         self.injected
-    }
-
-    /// Does this plan roll the PRNG on every simulated cycle?
-    ///
-    /// Memory bit-flips consume one random draw per cycle, so an
-    /// event-driven scheduler that skips idle cycles would desynchronise
-    /// the stream.  Engines use this to fall back to their dense
-    /// reference loop.  DP stalls do *not* roll per cycle: a MIMD core
-    /// draws one stall run per fetch from its own [`StallStream`], an
-    /// array one run per broadcast from [`StallRuns`], and the dataflow
-    /// engine hashes `(seed, cycle, dp)` — none of them depends on which
-    /// scheduler visits which cycle.  Drops, corruption and link outages
-    /// only roll on actual sends, which the event path replays at
-    /// identical cycles in identical order.
-    pub fn has_per_cycle_rolls(&self) -> bool {
-        self.flip_threshold > 0
     }
 
     /// Is the `from -> to` link down at `cycle`?
@@ -256,15 +253,19 @@ impl FaultPlan {
     }
 
     /// The per-core stall law of a MIMD machine: the sampler of how many
-    /// cycles each fetch waits, built once per run.  `None` when the plan
+    /// cycles each fetch waits, built on the plan's first ask and shared
+    /// from then on, by its clones and forks too.  `None` when the plan
     /// has no stall rate, so a run without one draws nothing.
     ///
     /// With stall rate `p`, every fetch waits `S` cycles with
     /// `P(S ≥ s) = p^s` — the law of the old per-cycle roll, which
     /// stalled each cycle at the fetch stage independently with `p` —
     /// drawn from the core's own [`StallStream`] (DESIGN.md §7).
-    pub fn stall_law(&self) -> Option<StallLaw> {
-        (self.stall_threshold > 0).then(|| StallLaw::new(self.stall_threshold))
+    pub fn stall_law(&self) -> Option<Arc<StallLaw>> {
+        (self.stall_threshold > 0).then(|| {
+            let build = || Arc::new(StallLaw::new(self.stall_threshold));
+            Arc::clone(self.stall_law.get_or_init(build))
+        })
     }
 
     /// The private stall stream of instruction processor `core` driving
@@ -286,51 +287,68 @@ impl FaultPlan {
         self.injected += cycles;
     }
 
-    /// Roll for a transient memory bit-flip this cycle: `(bank_choice,
-    /// addr_choice, bit)` as raw draws for the caller to reduce modulo its
-    /// own geometry.
+    /// This plan's bit-flip schedule from the start of a run: a pure
+    /// function of the flip key and rate, so every scheduler applies the
+    /// same flips at the same cycles.
+    pub fn bit_flips(&self) -> FlipSchedule {
+        FlipSchedule::new(self.flips.key, self.flips.ln_keep)
+    }
+
+    /// Restart the bit-flip schedule for a run on `mem`.  A memory
+    /// without a word takes no flip and counts none.
+    pub(crate) fn start_flips(&mut self, mem: &BankedMemory) {
+        self.flips = self.bit_flips();
+        if mem.capacity() == 0 {
+            self.flips.at = u64::MAX;
+        }
+    }
+
+    /// The cycle the run's next bit flip is due on (`u64::MAX`: none).
     #[inline]
-    pub fn memory_bit_flip(&mut self) -> Option<(u64, u64, u32)> {
-        if self.flip_threshold > 0 && draw(&mut self.rng) < self.flip_threshold {
+    pub(crate) fn next_flip(&self) -> u64 {
+        self.flips.at
+    }
+
+    /// Apply every bit flip due by `cycle` to `mem`, each recorded at its
+    /// own cycle: a run loop calls this before it acts on `cycle`.
+    #[inline]
+    pub(crate) fn flip_through<T: Tracer>(
+        &mut self,
+        cycle: u64,
+        mem: &mut BankedMemory,
+        tracer: &mut T,
+    ) {
+        if self.flips.at <= cycle {
+            self.apply_flips(cycle, mem, tracer);
+        }
+    }
+
+    /// [`FaultPlan::flip_through`] once a flip is due.
+    #[cold]
+    fn apply_flips<T: Tracer>(&mut self, cycle: u64, mem: &mut BankedMemory, tracer: &mut T) {
+        let (banks, words) = (mem.bank_count() as u64, mem.bank_size() as u64);
+        while self.flips.at <= cycle {
+            let flip = self.flips.next().expect("a flip is due");
+            let (bank, addr) = ((flip.bank % banks) as usize, (flip.addr % words) as usize);
+            let old = mem.bank(bank).contents()[addr];
+            mem.bank_mut(bank).write(addr, old ^ (1 << flip.bit));
             self.injected += 1;
-            Some((
-                self.rng.next_u64(),
-                self.rng.next_u64(),
-                self.rng.below(63) as u32,
-            ))
-        } else {
-            None
+            tracer.record(flip.cycle, EventKind::FaultInjected(FaultKind::BitFlip));
         }
     }
 
     /// Split off a child plan with the same schedule but a decorrelated
-    /// RNG stream and a fresh injection counter, so several components
-    /// (machine + interconnect) can each hold a plan for one run.
+    /// RNG stream, its own flip key and a fresh injection counter, so
+    /// several components (machine + interconnect) or the phases of one
+    /// run can each hold a plan.
     pub fn fork(&mut self) -> FaultPlan {
         let mut child = self.clone();
-        child.rng = self.rng.fork();
+        // `XorShift64::fork`, with the same draw keying the child's flips.
+        let seed = self.rng.next_u64();
+        child.rng = XorShift64::new(seed);
+        child.flips = FlipSchedule::new(seed, self.flips.ln_keep);
         child.injected = 0;
         child
-    }
-
-    /// Apply a pending transient bit-flip (if any) to `mem`, reducing the
-    /// raw draws modulo the memory's geometry.  Returns `true` when a bit
-    /// was actually flipped (so callers can trace the injection).
-    #[inline]
-    pub fn maybe_flip_memory(&mut self, mem: &mut crate::mem::BankedMemory) -> bool {
-        if let Some((bank_raw, addr_raw, bit)) = self.memory_bit_flip() {
-            let banks = mem.bank_count();
-            let words = mem.bank_size();
-            if banks == 0 || words == 0 {
-                return false;
-            }
-            let bank = (bank_raw % banks as u64) as usize;
-            let addr = (addr_raw % words as u64) as usize;
-            let old = mem.bank(bank).contents()[addr];
-            mem.bank_mut(bank).write(addr, old ^ (1 << bit));
-            return true;
-        }
-        false
     }
 }
 
@@ -376,9 +394,24 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The lane tag the broadcast stall draw hashes in place of a processor
-/// index, so it never coincides with a per-processor `dp_stalled` draw.
+/// The tags the keyed draws hash in place of a processor index, so they
+/// never coincide with a per-processor `dp_stalled` draw or each other:
+/// a broadcast's stall run, and a bit flip's gap and site.
 const BROADCAST_TAG: usize = usize::MAX;
+const FLIP_GAP_TAG: usize = usize::MAX - 1;
+const FLIP_BANK_TAG: usize = usize::MAX - 2;
+const FLIP_ADDR_TAG: usize = usize::MAX - 3;
+const FLIP_BIT_TAG: usize = usize::MAX - 4;
+
+/// The geometric sampler: draw `k` under `(key, tag)` is
+/// `floor(ln u / ln_q)`, `u` in (0, 1) hashed from `(key, k, tag)`, so
+/// `P(draw ≥ s) = q^s` for `ln_q = ln q < 0` (0 when `ln_q = −∞`).
+#[inline]
+fn geometric(key: u64, k: u64, tag: usize, ln_q: f64) -> u64 {
+    let u = (stall_hash(key, k, tag) as f64 + 0.5) / UNIT as f64;
+    // `as` floors the non-negative quotient and saturates.
+    (u.ln() / ln_q) as u64
+}
 
 /// The stalled-cycle runs of a lockstep broadcast stream
 /// ([`FaultPlan::stall_runs`]).
@@ -407,11 +440,7 @@ impl StallRuns {
         match *self {
             StallRuns::Never => 0,
             StallRuns::Forever => u64::MAX,
-            StallRuns::Geometric { seed, ln_stall } => {
-                let u = (stall_hash(seed, k, BROADCAST_TAG) as f64 + 0.5) / UNIT as f64;
-                // `as` floors the non-negative quotient.
-                (u.ln() / ln_stall) as u64
-            }
+            StallRuns::Geometric { seed, ln_stall } => geometric(seed, k, BROADCAST_TAG, ln_stall),
         }
     }
 }
@@ -616,6 +645,81 @@ impl StallStream {
     #[inline]
     pub(crate) fn hold(&mut self, at: u64) {
         self.fetch_at = at;
+    }
+}
+
+/// A plan's keyed bit-flip schedule ([`FaultPlan::bit_flips`]): an
+/// iterator over its flips in cycle order.
+///
+/// Flip `k` lands `gap_k + 1` cycles after flip `k − 1` (after cycle 0
+/// for the first), with `P(gap_k ≥ g) = (1 − p)^g` for flip rate `p` —
+/// the law of one roll per cycle, drawn once per flip.  The gap and the
+/// site are hashed from `(key, k)`; the key is the plan's seed, and a
+/// fork takes the draw that seeds its stream (DESIGN.md §7).
+#[derive(Debug, Clone)]
+pub struct FlipSchedule {
+    key: u64,
+    /// `ln(1 − p)`: negative, `−∞` for `p = 1`, 0 without a flip rate.
+    ln_keep: f64,
+    /// The index of the next flip, and its cycle (`u64::MAX`: none).
+    k: u64,
+    at: u64,
+}
+
+/// One scheduled bit flip: its cycle and its site as raw draws, which a
+/// run reduces modulo its memory's geometry — bit `bit` of word
+/// `addr % words` in bank `bank % banks`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flip {
+    /// The cycle the flip lands on, before anything acts on it.
+    pub cycle: u64,
+    /// The bank draw.
+    pub bank: u64,
+    /// The word draw.
+    pub addr: u64,
+    /// The flipped bit, `0..63`.
+    pub bit: u32,
+}
+
+impl FlipSchedule {
+    fn new(key: u64, ln_keep: f64) -> FlipSchedule {
+        let mut schedule = FlipSchedule {
+            key,
+            ln_keep,
+            k: 0,
+            at: 0,
+        };
+        schedule.at = schedule.after(0);
+        schedule
+    }
+
+    /// The cycle of flip `k` when the one before it landed on `cycle`.
+    fn after(&self, cycle: u64) -> u64 {
+        if self.ln_keep == 0.0 {
+            return u64::MAX;
+        }
+        let gap = geometric(self.key, self.k, FLIP_GAP_TAG, self.ln_keep);
+        cycle.saturating_add(gap).saturating_add(1)
+    }
+}
+
+impl Iterator for FlipSchedule {
+    type Item = Flip;
+
+    fn next(&mut self) -> Option<Flip> {
+        if self.at == u64::MAX {
+            return None;
+        }
+        let site = |tag| stall_hash(self.key, self.k, tag);
+        let flip = Flip {
+            cycle: self.at,
+            bank: site(FLIP_BANK_TAG),
+            addr: site(FLIP_ADDR_TAG),
+            bit: (site(FLIP_BIT_TAG) % 63) as u32,
+        };
+        self.k += 1;
+        self.at = self.after(self.at);
+        Some(flip)
     }
 }
 
@@ -875,19 +979,11 @@ mod tests {
                 assert_eq!(plan.injected(), u64::from(fired));
             }
             // Stream rolls consume the same draws as the float roll did.
-            let mut plan = FaultPlan::seeded(9)
-                .drop_messages(rate)
-                .flip_memory_bits(rate);
+            let mut plan = FaultPlan::seeded(9).drop_messages(rate);
             let mut stream = XorShift64::new(9);
             for _ in 0..1_000 {
                 let expect = rate > 0.0 && float_roll(stream.next_u64(), rate);
                 assert_eq!(plan.should_drop(), expect, "rate {rate:e}");
-                let flip = rate > 0.0 && float_roll(stream.next_u64(), rate);
-                let drawn = flip.then(|| {
-                    let (bank, addr) = (stream.next_u64(), stream.next_u64());
-                    (bank, addr, stream.below(63) as u32)
-                });
-                assert_eq!(plan.memory_bit_flip(), drawn, "rate {rate:e}");
             }
         }
         assert_eq!(threshold(f64::NAN), 0);
@@ -895,27 +991,16 @@ mod tests {
         assert_eq!(threshold(-3.0), 0);
     }
 
-    /// Share of broadcasts that issue at once and mean stall run, with
-    /// their standard errors, over `n` runs drawn by `next`.
-    fn run_stats(n: u64, mut next: impl FnMut() -> u64) -> (f64, f64) {
-        let (mut zero, mut sum) = (0u64, 0f64);
-        for _ in 0..n {
-            let run = next();
-            zero += u64::from(run == 0);
-            sum += run as f64;
-        }
-        (zero as f64 / n as f64, sum / n as f64)
-    }
-
     #[test]
     fn broadcast_stall_runs_follow_the_lockstep_law() {
-        // Within 5 standard errors (plus the f64 floor), over 10^5
-        // broadcasts per rate and live-lane count: the share of
-        // broadcasts that issue at once estimates q = (1 − p)^L' and the
-        // mean run (1 − q) / q.  The old rule — one hashed roll per lane
-        // per cycle, stalling the cycle when any lane stalls — is
-        // replayed over up to 10^5 broadcasts or 2·10^6 cycles and must
-        // agree with the same law.
+        // A broadcast issues on a cycle with q = (1 − p)^L', so its run
+        // has P(S ≥ s) = (1 − q)^s: histogram and mean over 10^5
+        // broadcasts per rate and live-lane count.  The old rule — one
+        // hashed roll per lane per cycle, stalling the cycle when any
+        // lane stalls — is replayed over up to 10^5 broadcasts or 2·10^6
+        // cycles and must agree with the same law: the share of
+        // broadcasts that issue at once estimates q, the mean run
+        // (1 − q) / q, within 5 standard errors.
         const N: u64 = 100_000;
         for p in [1e-6f64, 0.01, 0.1, 0.3, 0.5, 0.9] {
             for live in [1usize, 4, 16] {
@@ -927,12 +1012,10 @@ mod tests {
                 let plan = FaultPlan::seeded(live as u64 ^ p.to_bits()).stall_dps(p);
                 let runs = plan.stall_runs(live);
                 let mut k = 0;
-                let (share, got) = run_stats(N, || {
+                assert_geometric(&label, 1.0 - q, q, u64::MAX, || {
                     k += 1;
                     runs.run(k - 1)
                 });
-                assert!((share - q).abs() <= share_tol(N), "{label}: share {share}");
-                assert!((got - mean).abs() <= mean_tol(N), "{label}: mean {got}");
 
                 let mut old = plan.clone();
                 let (mut cycle, mut issued, mut stalled) = (0u64, 0u64, 0u64);
@@ -1036,66 +1119,89 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_core_stall_runs_follow_the_geometric_law() {
-        // Within 5 standard errors (plus the f64 floor), over 10^5
-        // fetches per rate: the share of runs of each length s estimates
-        // (1 − p)·p^s, and the mean run estimates its expectation.  The
-        // rate just below 1 is capped at 64 cycles, as a run budget would
-        // cap it; the others run uncapped.
+    /// Within 5 standard errors (plus the f64 floor), over 10^5 draws
+    /// from `next`: the share of draws of each length s estimates
+    /// (1 − p)·p^s, and the mean draw its expectation, for
+    /// `P(S ≥ s) = p^s` below `cap` (`u64::MAX`: uncapped).  `q` is
+    /// `1 − p`, passed exactly.
+    fn assert_geometric(label: &str, p: f64, q: f64, cap: u64, mut next: impl FnMut() -> u64) {
         const N: u64 = 100_000;
         const BINS: usize = 48;
+        let mut hist = [0u64; BINS + 1];
+        let mut sum = 0f64;
+        for _ in 0..N {
+            let run = next();
+            hist[(run as usize).min(BINS)] += 1;
+            sum += run as f64;
+        }
+        let at_least = |s: usize| {
+            if (s as u64) > cap {
+                0.0
+            } else {
+                p.powi(s as i32)
+            }
+        };
+        let share_tol = |q: f64| 5.0 * (q * (1.0 - q) / N as f64).sqrt() + 1e-12;
+        for (s, &n) in hist.iter().enumerate() {
+            let q = if s < BINS {
+                at_least(s) - at_least(s + 1)
+            } else {
+                at_least(BINS)
+            };
+            let got = n as f64 / N as f64;
+            assert!(
+                (got - q).abs() <= share_tol(q),
+                "{label}, S = {s}: {got} vs {q}"
+            );
+        }
+        let (mean, var) = if cap == u64::MAX {
+            (p / q, p / (q * q))
+        } else {
+            let (mut m1, mut m2) = (0.0, 0.0);
+            for s in 0..=cap {
+                let q = at_least(s as usize) - at_least(s as usize + 1);
+                m1 += s as f64 * q;
+                m2 += (s * s) as f64 * q;
+            }
+            (m1, m2 - m1 * m1)
+        };
+        let got = sum / N as f64;
+        let tol = 5.0 * (var.max(0.0) / N as f64).sqrt() + 1e-9 * mean;
+        assert!((got - mean).abs() <= tol, "{label}: mean {got} vs {mean}");
+    }
+
+    #[test]
+    fn per_core_stall_runs_follow_the_geometric_law() {
+        // Stall runs at rate p: P(S ≥ s) = p^s.  The rate just below 1
+        // is capped at 64 cycles, as a run budget would cap it; the
+        // others run uncapped.
         let mut redrawn = 0u64;
         for p in [1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1.0 / UNIT as f64] {
             let cap = if p > 0.99 { 64 } else { u64::MAX };
             let plan = FaultPlan::seeded(p.to_bits()).stall_dps(p);
             let law = plan.stall_law().unwrap();
             let mut stream = plan.stall_stream(0, 0);
-            let mut hist = [0u64; BINS + 1];
-            let mut sum = 0f64;
-            for _ in 0..N {
+            assert_geometric(&format!("stall p {p}"), p, 1.0 - p, cap, || {
                 let run = law.run(&mut stream, cap);
                 redrawn += u64::from(run >= STALL_TABLE as u64);
-                hist[(run as usize).min(BINS)] += 1;
-                sum += run as f64;
-            }
-            // P(S ≥ s) = p^s below the cap.
-            let at_least = |s: usize| {
-                if (s as u64) > cap {
-                    0.0
-                } else {
-                    p.powi(s as i32)
-                }
-            };
-            let share_tol = |q: f64| 5.0 * (q * (1.0 - q) / N as f64).sqrt() + 1e-12;
-            for (s, &n) in hist.iter().enumerate() {
-                let q = if s < BINS {
-                    at_least(s) - at_least(s + 1)
-                } else {
-                    at_least(BINS)
-                };
-                let got = n as f64 / N as f64;
-                assert!(
-                    (got - q).abs() <= share_tol(q),
-                    "p {p}, S = {s}: {got} vs {q}"
-                );
-            }
-            let (mean, var) = if cap == u64::MAX {
-                (p / (1.0 - p), p / ((1.0 - p) * (1.0 - p)))
-            } else {
-                let (mut m1, mut m2) = (0.0, 0.0);
-                for s in 0..=cap {
-                    let q = at_least(s as usize) - at_least(s as usize + 1);
-                    m1 += s as f64 * q;
-                    m2 += (s * s) as f64 * q;
-                }
-                (m1, m2 - m1 * m1)
-            };
-            let got = sum / N as f64;
-            let tol = 5.0 * (var.max(0.0) / N as f64).sqrt() + 1e-9 * mean;
-            assert!((got - mean).abs() <= tol, "p {p}: mean {got} vs {mean}");
+                run
+            });
         }
         assert!(redrawn > 0, "no run went past the table");
+        // The cycles between bit flips at flip rate p: P(gap ≥ g) =
+        // (1 − p)^g.
+        for p in [1e-6f64, 0.01, 0.1, 0.3, 0.7] {
+            let mut flips = FaultPlan::seeded(p.to_bits())
+                .flip_memory_bits(p)
+                .bit_flips();
+            let mut last = 0;
+            assert_geometric(&format!("flip gap p {p}"), 1.0 - p, p, u64::MAX, || {
+                let cycle = flips.next().unwrap().cycle;
+                let gap = cycle - last - 1;
+                last = cycle;
+                gap
+            });
+        }
     }
 
     #[test]
@@ -1143,11 +1249,46 @@ mod tests {
     }
 
     #[test]
-    fn stall_plans_no_longer_force_the_dense_scheduler() {
-        let stall_only = FaultPlan::seeded(1).stall_dps(0.5);
-        assert!(!stall_only.has_per_cycle_rolls());
-        let flips = FaultPlan::seeded(1).flip_memory_bits(0.01);
-        assert!(flips.has_per_cycle_rolls());
+    fn the_stall_law_is_built_once_per_plan() {
+        let mut plan = FaultPlan::seeded(1).stall_dps(0.4);
+        let law = plan.stall_law().unwrap();
+        assert!(Arc::ptr_eq(&law, &plan.stall_law().unwrap()));
+        assert!(Arc::ptr_eq(&law, &plan.clone().stall_law().unwrap()));
+        assert!(Arc::ptr_eq(&law, &plan.fork().stall_law().unwrap()));
+        // A new rate takes a new law.
+        let law = plan.stall_dps(0.5).stall_law().unwrap();
+        assert_eq!(law.thresholds[0], threshold(0.5));
+    }
+
+    #[test]
+    fn flip_schedules_at_the_extremes() {
+        // Rate 0 (or none): no flip, ever.
+        assert_eq!(FaultPlan::seeded(1).bit_flips().next(), None);
+        assert_eq!(
+            FaultPlan::seeded(1)
+                .flip_memory_bits(0.0)
+                .bit_flips()
+                .next(),
+            None
+        );
+        // Rate 1: one flip on every cycle, sites in range.
+        let plan = FaultPlan::seeded(1).flip_memory_bits(1.0);
+        let flips: Vec<Flip> = plan.bit_flips().take(1_000).collect();
+        assert!(flips
+            .iter()
+            .zip(1..)
+            .all(|(f, c)| f.cycle == c && f.bit < 63));
+        assert!(flips.iter().any(|f| f.bit == 62) && flips.iter().any(|f| f.bit == 0));
+        // A clone replays the schedule; a fork draws its own key, and two
+        // forks of one parent differ.
+        let mut parent = FaultPlan::seeded(4).flip_memory_bits(0.2);
+        let first = |plan: &FaultPlan| plan.bit_flips().take(64).collect::<Vec<_>>();
+        assert_eq!(first(&parent.clone()), first(&parent));
+        let (a, b) = (parent.fork(), parent.fork());
+        assert_ne!(first(&a), first(&parent));
+        assert_ne!(first(&a), first(&b));
+        // A stall rate leaves the flips alone.
+        assert_eq!(first(&parent.clone().stall_dps(0.5)), first(&parent));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use skilltax_model::{ArchSpec, Count, Link, Relation};
 
@@ -164,10 +165,10 @@ impl MultiMachine {
 
     /// Install a cancellation token for subsequent runs.  A deadline
     /// stops the run after exactly that many simulated cycles, with
-    /// partial [`Stats`] bit-identical across the dense, event and
-    /// decoupled schedulers; the asynchronous flag stops promptly but at
-    /// no promised cycle (polled per cycle by the dense and event loops,
-    /// once per quantum by the decoupled path).
+    /// partial [`Stats`] bit-identical across the event scheduler, the
+    /// decoupled path and the dense reference; the asynchronous flag
+    /// stops promptly but at no promised cycle (polled per cycle by the
+    /// event loop, once per quantum by the decoupled path).
     pub fn with_cancel(mut self, cancel: CancelToken) -> MultiMachine {
         self.cancel = cancel;
         self
@@ -175,7 +176,7 @@ impl MultiMachine {
 
     /// Force the dense reference loop instead of the event-driven
     /// scheduler (see DESIGN.md §9).  The two are counter-identical; the
-    /// knob exists for the identity suite and as an escape hatch.
+    /// dense loop is the identity suites' oracle, not a production path.
     pub fn with_dense_reference(mut self, dense: bool) -> MultiMachine {
         self.dense_reference = dense;
         self
@@ -365,11 +366,9 @@ impl MultiMachine {
     /// returns [`MachineError::WatchdogTimeout`] carrying the partial
     /// statistics.
     ///
-    /// Dispatches to the event-driven scheduler unless the dense
-    /// reference loop was requested or the plan rolls the PRNG on every
-    /// cycle (which skipping cycles would desynchronise).  The event
-    /// scheduler itself hands untraced interaction-free runs to the
-    /// temporally decoupled path.
+    /// Runs the event-driven scheduler, which hands untraced
+    /// interaction-free runs to the temporally decoupled path, unless
+    /// the dense reference loop was requested.
     fn execute_with<T: Tracer>(
         &mut self,
         library: &[&Program],
@@ -377,7 +376,7 @@ impl MultiMachine {
         faults: Option<FaultPlan>,
         tracer: &mut T,
     ) -> Result<RunOutcome, MachineError> {
-        if self.dense_reference || faults.as_ref().is_some_and(FaultPlan::has_per_cycle_rolls) {
+        if self.dense_reference {
             self.execute_dense(library, assignment, faults, tracer)
         } else {
             self.execute_event(library, assignment, faults, tracer)
@@ -385,16 +384,17 @@ impl MultiMachine {
     }
 
     /// Put every core at the start of `assignment`, hand the mailboxes a
-    /// fork of the plan, and, when the plan has a stall rate, seed each
-    /// core's stall stream from `(dp, core)` and return the run's stall
-    /// law (DESIGN.md §7).
+    /// fork of the plan, restart its bit-flip schedule, and, when the
+    /// plan has a stall rate, seed each core's stall stream from
+    /// `(dp, core)` and return the plan's stall law (DESIGN.md §7).
     fn start_run(
         &mut self,
         assignment: &[usize],
         faults: Option<&mut FaultPlan>,
-    ) -> Option<StallLaw> {
+    ) -> Option<Arc<StallLaw>> {
         let law = faults.and_then(|plan| {
             self.mailboxes.install_faults(plan.fork());
+            plan.start_flips(&self.mem);
             let law = plan.stall_law()?;
             for (i, core) in self.cores.iter_mut().enumerate() {
                 core.stall = plan.stall_stream(self.binding[i], i);
@@ -412,8 +412,7 @@ impl MultiMachine {
 
     /// The dense reference loop: every core is visited on every cycle.
     /// This is the semantic ground truth the event scheduler must
-    /// reproduce counter-for-counter; it also remains the execution
-    /// path for plans with per-cycle random rolls.
+    /// reproduce counter-for-counter.
     fn execute_dense<T: Tracer>(
         &mut self,
         library: &[&Program],
@@ -448,9 +447,7 @@ impl MultiMachine {
             stats.cycles += 1;
             self.mailboxes.set_cycle(stats.cycles);
             if let Some(plan) = faults.as_mut() {
-                if plan.maybe_flip_memory(&mut self.mem) {
-                    tracer.record(stats.cycles, EventKind::FaultInjected(FaultKind::BitFlip));
-                }
+                plan.flip_through(stats.cycles, &mut self.mem, tracer);
             }
             let mut progress = false;
             for i in 0..n {
@@ -670,7 +667,7 @@ impl MultiMachine {
             self.execute_decoupled(
                 library,
                 faults.as_mut(),
-                law.as_ref(),
+                law.as_deref(),
                 budget,
                 &mut stats,
                 tracer,
@@ -702,6 +699,9 @@ impl MultiMachine {
                     return Err(budget.trip(stats.cycles, stats, tracer));
                 }
                 let cycle = stats.cycles + 1;
+                if let Some(plan) = faults.as_mut() {
+                    plan.flip_through(cycle, &mut self.mem, tracer);
+                }
                 parking.settle_through(cycle, &mut stats, faults.as_mut(), tracer);
                 return Err(MachineError::Deadlock { cycle });
             } else {
@@ -711,6 +711,9 @@ impl MultiMachine {
                 // Dense burns the rest of the budget stalling the
                 // sleepers and blocked receivers, then trips the
                 // watchdog.
+                if let Some(plan) = faults.as_mut() {
+                    plan.flip_through(limit, &mut self.mem, tracer);
+                }
                 parking.settle_through(limit, &mut stats, faults.as_mut(), tracer);
                 stats.cycles = limit;
                 return Err(budget.trip(limit, stats, tracer));
@@ -725,6 +728,11 @@ impl MultiMachine {
             }
             stats.cycles = next;
             self.mailboxes.set_cycle(next);
+            // The flips due on the warped-over cycles land now: no core
+            // touched memory on them.
+            if let Some(plan) = faults.as_mut() {
+                plan.flip_through(next, &mut self.mem, tracer);
+            }
             parking.wake(next, &mut active, &mut stats, faults.as_mut(), tracer);
             // Cores still sleeping stall this cycle (dense `!ready`, or
             // a stall run), which also counts as forward progress there.
@@ -1008,8 +1016,8 @@ impl MultiMachine {
     /// only DP–DP interactions, and the only instructions that can stall
     /// on another core), and no lane driven by two cores that both touch
     /// memory (a rebound IP shares its lane's bank with the lane's own
-    /// IP).  Per-cycle fault rolls are excluded before the event
-    /// scheduler is reached; stall runs come from each core's own stream.
+    /// IP).  Stall runs come from each core's own stream, and bit flips
+    /// cut the quanta, so no fault plan bars the decoupled path.
     fn interaction_free(&self, library: &[&Program], assignment: &[usize]) -> bool {
         if self.mem.topology() != DataTopology::PrivateBanks {
             return false;
@@ -1041,7 +1049,9 @@ impl MultiMachine {
     /// cancellation flag is polled once per quantum.  A core's stall runs
     /// come from its own stream, so running it alone draws exactly the
     /// runs the dense loop draws; a run that crosses the quantum boundary
-    /// stays with the stream.  Architectural state after an error is
+    /// stays with the stream.  A quantum ends the cycle before the next
+    /// bit flip, which lands before any core acts on its cycle, as in
+    /// the dense loop.  Architectural state after an error is
     /// unspecified: cores before the failing one may have run past its
     /// cycle.
     fn execute_decoupled<T: Tracer>(
@@ -1069,7 +1079,11 @@ impl MultiMachine {
                 return Err(budget.trip(stats.cycles, *stats, tracer));
             }
             let start = stats.cycles;
-            let bound = limit.min(start.saturating_add(QUANTUM));
+            let next_flip = faults.as_deref_mut().map_or(u64::MAX, |plan| {
+                plan.flip_through(start + 1, &mut self.mem, tracer);
+                plan.next_flip()
+            });
+            let bound = limit.min(start.saturating_add(QUANTUM)).min(next_flip - 1);
             let mut horizon = bound;
             let mut error = None;
             for core in self.cores.iter_mut().filter(|c| !c.halted) {
@@ -1204,6 +1218,8 @@ impl MultiMachine {
             });
         }
         let idle = Program::new(vec![Instr::Halt]).expect("halt program is valid");
+        // Every phase's fork keeps the stall law built here.
+        plan.stall_law();
         // One shared library for every phase — the n real programs plus
         // the idle program at index n; phases differ only in the
         // core→program assignment, so nothing is ever cloned per phase.
@@ -1673,6 +1689,24 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn a_memory_without_words_takes_no_bit_flips() {
+        use crate::array::{ArrayMachine, ArraySubtype};
+        use crate::fault::FaultPlan;
+        // Zero-word banks leave a flip no site: a certain flip rate draws
+        // and counts nothing, on every scheduler and on the array.
+        let nops = Program::new(vec![Instr::Nop, Instr::Nop, Instr::Halt]).unwrap();
+        let plan = FaultPlan::seeded(1).flip_memory_bits(1.0);
+        for dense in [true, false] {
+            let mut m = MultiMachine::new(MultiSubtype::from_index(1).unwrap(), 2, 0)
+                .with_dense_reference(dense);
+            let outcome = m.run_resilient(&[nops.clone(), nops.clone()], plan.clone());
+            assert_eq!(outcome.unwrap().faults_injected, 0, "dense {dense}");
+        }
+        let mut a = ArrayMachine::new(ArraySubtype::I, 2, 0);
+        assert_eq!(a.run_resilient(&nops, plan).unwrap().faults_injected, 0);
     }
 
     #[test]

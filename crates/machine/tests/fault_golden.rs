@@ -1,10 +1,10 @@
-//! Golden fault-roll values: the stall schedule, flip draws and
+//! Golden fault-roll values: the stall schedule, flip schedule and
 //! resilient-run outcomes of fixed seeded plans, pinned so any change to
 //! the roll semantics (thresholds, draw order, hashing) fails here.
-//! The roll values were recorded before the rolls moved from `f64`
+//! The stall decisions were recorded before the rolls moved from `f64`
 //! comparisons to integer thresholds (DESIGN.md §7), which must keep
-//! every decision bit-identical; the run outcomes say when they were
-//! re-recorded.
+//! every decision bit-identical; the flip values and run outcomes say
+//! when they were re-recorded.
 
 use skilltax_machine::array::{ArrayMachine, ArraySubtype};
 use skilltax_machine::multi::{MultiMachine, MultiSubtype};
@@ -16,8 +16,8 @@ fn fnv(acc: u64, x: u64) -> u64 {
 }
 
 /// The first 256 stall decisions (a bitmask over `(cycle, dp)` in
-/// cycle-major order), then 256 flip rolls: how many fired, a checksum
-/// of their draws, and the plan's injection count.
+/// cycle-major order), then the flips of the first 256 cycles: how many,
+/// a checksum of their cycles and sites, and the plan's injection count.
 fn rolls(plan: &mut FaultPlan) -> ([u64; 4], u64, u64, u64) {
     let mut stalls = [0u64; 4];
     for k in 0..256u64 {
@@ -26,11 +26,10 @@ fn rolls(plan: &mut FaultPlan) -> ([u64; 4], u64, u64, u64) {
         }
     }
     let (mut fired, mut fold) = (0u64, 0xCBF2_9CE4_8422_2325u64);
-    for _ in 0..256 {
-        if let Some((bank, addr, bit)) = plan.memory_bit_flip() {
-            fired += 1;
-            fold = fnv(fnv(fnv(fold, bank), addr), u64::from(bit));
-        }
+    for flip in plan.bit_flips().take_while(|f| f.cycle <= 256) {
+        fired += 1;
+        fold = fnv(fold, flip.cycle);
+        fold = fnv(fnv(fnv(fold, flip.bank), flip.addr), u64::from(flip.bit));
     }
     (stalls, fired, fold, plan.injected())
 }
@@ -60,6 +59,10 @@ fn array_kernel() -> Program {
     asm.assemble().unwrap()
 }
 
+/// The flip values were re-recorded when bit flips moved from one roll
+/// per cycle on the plan's stream to keyed gaps between flips (DESIGN.md
+/// §7): the same law, different flips, and a schedule query injects
+/// nothing, so the count is the stall decisions' alone.
 #[test]
 fn stall_and_flip_rolls_are_pinned() {
     let mut a = FaultPlan::seeded(0x5EED)
@@ -74,15 +77,15 @@ fn stall_and_flip_rolls_are_pinned() {
                 4_939_331_757_751_364_692,
                 1_230_688_467_402_904_294
             ],
-            14,
-            15_728_055_395_215_860_976,
-            92
+            16,
+            2_626_664_306_638_501_731,
+            78
         )
     );
     let mut b = FaultPlan::seeded(7).stall_dps(0.01).flip_memory_bits(0.7);
     assert_eq!(
         rolls(&mut b),
-        ([0, 0, 128, 0], 171, 12_627_879_380_873_763_142, 172)
+        ([0, 0, 128, 0], 195, 13_777_975_040_925_512_305, 1)
     );
 }
 
@@ -117,6 +120,8 @@ fn multi_stall_storm_outcome_is_pinned() {
 /// Re-recorded when the array's lockstep stalls moved from one hashed
 /// roll per lane per cycle to one geometric stall run per broadcast
 /// (DESIGN.md §7): the same stall probabilities, different outcomes.
+/// Re-recorded again when bit flips moved to keyed gaps: the same stall
+/// runs and `Stats`, different flips (faults and memory).
 #[test]
 fn array_flip_storm_outcome_is_pinned() {
     let mut m = ArrayMachine::new(ArraySubtype::III, 8, 8);
@@ -134,7 +139,7 @@ fn array_flip_storm_outcome_is_pinned() {
                 messages: 0,
                 stalls: 199,
             },
-            faults_injected: 265,
+            faults_injected: 263,
             retries: 0,
             degraded: false,
         }
@@ -145,5 +150,5 @@ fn array_flip_storm_outcome_is_pinned() {
             memory = fnv(memory, w as u64);
         }
     }
-    assert_eq!(memory, 0x4a6c_b25b_300a_c553);
+    assert_eq!(memory, 0x81fe_e72d_b6ec_f92d);
 }

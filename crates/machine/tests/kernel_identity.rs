@@ -577,9 +577,9 @@ fn shared_bank_runs_match_single_steps() {
 /// One array run stepped lane by lane: the IP fetches, waits out the
 /// broadcast's stall run one cycle at a time, issues, and executes every
 /// local instruction on each lane in turn through `execute_traced`
-/// (control flow on lane 0).  Every cycle, stalled or issuing, takes one
-/// bit-flip roll.  Returns the outcome, each lane's registers, the memory
-/// and the faults the plan injected.
+/// (control flow on lane 0).  On every cycle, stalled or issuing, the
+/// plan's keyed flip due on that cycle, if any, lands first.  Returns the
+/// outcome, each lane's registers, the memory and the faults injected.
 fn array_reference<T: Tracer>(
     subtype: ArraySubtype,
     lanes: usize,
@@ -591,6 +591,8 @@ fn array_reference<T: Tracer>(
     let mut dps: Vec<DataProcessor> = (0..lanes).map(DataProcessor::new).collect();
     let mut mem = BankedMemory::new(lanes, BANK, subtype.data_topology());
     let runs = plan.as_ref().map(|p| p.stall_runs(lanes));
+    let mut flips = plan.as_ref().map(|p| p.bit_flips().peekable());
+    let mut flipped = 0;
     let mut stats = Stats::default();
     let (mut pc, mut k) = (0usize, 0u64);
     let result = 'run: loop {
@@ -608,10 +610,16 @@ fn array_reference<T: Tracer>(
         k += 1;
         loop {
             stats.cycles += 1;
-            if let Some(plan) = plan.as_mut() {
-                if plan.maybe_flip_memory(&mut mem) {
-                    tracer.record(stats.cycles, EventKind::FaultInjected(FaultKind::BitFlip));
-                }
+            if let Some(flip) = flips
+                .as_mut()
+                .and_then(|f| f.next_if(|f| f.cycle == stats.cycles))
+            {
+                let bank = (flip.bank % lanes as u64) as usize;
+                let addr = (flip.addr % BANK as u64) as usize;
+                let old = mem.bank(bank).contents()[addr];
+                mem.bank_mut(bank).write(addr, old ^ (1 << flip.bit));
+                flipped += 1;
+                tracer.record(stats.cycles, EventKind::FaultInjected(FaultKind::BitFlip));
             }
             if run == 0 {
                 break;
@@ -666,7 +674,12 @@ fn array_reference<T: Tracer>(
     let words = (0..lanes)
         .flat_map(|b| mem.bank(b).contents().to_vec())
         .collect();
-    (result, regs, words, plan.map_or(0, |p| p.injected()))
+    (
+        result,
+        regs,
+        words,
+        plan.map_or(0, |p| p.injected()) + flipped,
+    )
 }
 
 /// Registers and memory of an array machine after a run.

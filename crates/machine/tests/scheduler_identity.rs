@@ -19,8 +19,8 @@ use skilltax_machine::workload::{
     run_stagger_spatial_traced,
 };
 use skilltax_machine::{
-    Assembler, FaultPlan, Instr, LinkOutage, MachineError, NullTracer, Program, Stats, Telemetry,
-    Word,
+    Assembler, CancelToken, FaultPlan, Instr, LinkOutage, MachineError, NullTracer, Phase,
+    Profiled, Program, Stats, Telemetry, Word,
 };
 
 /// Run a closure once per scheduler and assert identical outcomes: equal
@@ -171,10 +171,13 @@ fn multi_backoff_storm_identity() {
     });
 }
 
-/// Six IMP-X cores (DP–DP and IP–DP crossbars): messages between
-/// staggered spinners, a receiver that blocks for most of the run, and —
-/// with `failing` — a core whose load leaves its bank on cycle 26.
-fn stall_storm_programs(failing: bool) -> Vec<Program> {
+/// Six IMP-X cores (DP–DP and IP–DP crossbars): for the `storm`,
+/// messages between staggered spinners and a receiver that blocks for
+/// most of the run; with `deadlock`, core 5 never sends, so core 4's
+/// receive never returns; with `local`, no messages, so an untraced run
+/// takes the decoupled path, and each core bumps a word of its bank.
+/// With `failing`, a core's load leaves its bank on cycle 26.
+fn stall_storm_programs(shape: &str) -> Vec<Program> {
     let spin_then = |iters: Word, tail: &[Instr]| {
         let mut asm = Assembler::new();
         asm.movi(0, 0).movi(1, iters);
@@ -187,10 +190,21 @@ fn stall_storm_programs(failing: bool) -> Vec<Program> {
         asm.emit(Instr::Halt);
         asm.assemble().unwrap()
     };
-    let third = if failing {
+    let third = if shape.contains("failing") {
         spin_then(12, &[Instr::MovI(2, -1), Instr::Load(3, 2)])
     } else {
         spin_then(25, &[])
+    };
+    if shape.starts_with("local") {
+        let bump = |i: Word| [Instr::MovI(2, i % 4), Instr::Load(3, 2), Instr::Store(2, 0)];
+        let mut programs: Vec<Program> = (0..6).map(|i| spin_then(9 * i, &bump(i))).collect();
+        programs[3] = third;
+        return programs;
+    }
+    let last: &[Instr] = if shape == "deadlock" {
+        &[]
+    } else {
+        &[Instr::MovI(2, 11), Instr::Send(4, 2)]
     };
     vec![
         spin_then(15, &[Instr::MovI(2, 7), Instr::Send(1, 2)]),
@@ -206,28 +220,32 @@ fn stall_storm_programs(failing: bool) -> Vec<Program> {
         spin_then(2, &[Instr::MovI(2, 9), Instr::Send(1, 2)]),
         third,
         spin_then(1, &[Instr::Recv(5, 5), Instr::Store(0, 5)]),
-        spin_then(40, &[Instr::MovI(2, 11), Instr::Send(4, 2)]),
+        spin_then(40, last),
     ]
 }
 
 #[test]
 fn multi_stall_runs_identity_with_messages_backoff_and_a_dead_dp() {
     // Stall runs put cores to sleep in the event scheduler until their
-    // fetch; the dense loop spends them a cycle at a time.  Mixed with
+    // fetch; the dense loop spends them a cycle at a time.  Bit flips
+    // land on their own cycles whichever cycles a scheduler visits: on
+    // warps, on every exit, and between decoupled quanta.  Mixed with
     // link-outage backoff, blocked receives, a dead DP whose program
-    // replays on a spare, a memory error while others sleep, and budgets
-    // that cut a run (rate 1 never fetches again), both schedulers must
-    // report the same outcome — faults injected included — and the same
-    // event-class totals.
+    // replays on a spare, memory errors while others sleep, a deadlock,
+    // a deadline, and budgets that cut a run (rate 1 never fetches
+    // again) or trip between flips, the dense loop, the event scheduler
+    // and (untraced, without messages) the decoupled path must report
+    // the same outcome — faults injected included — the same memory,
+    // and the same event-class totals.
     let outage = |until| LinkOutage {
         from: 0,
         to: 1,
         from_cycle: 0,
         until_cycle: until,
     };
-    // Completed, degraded, watchdog and other errors.
-    let mut seen = [0u32; 4];
-    let mut cut = 0;
+    // Completed, degraded, watchdog, deadlock, cancelled, other errors.
+    let mut seen = [0u32; 6];
+    let (mut cut, mut mid_gap, mut warped_flips) = (0, 0, 0);
     for seed in 0..6u64 {
         let plans = [
             FaultPlan::seeded(seed).stall_dps(0.3),
@@ -237,47 +255,95 @@ fn multi_stall_runs_identity_with_messages_backoff_and_a_dead_dp() {
             FaultPlan::seeded(seed).stall_dps(0.9).fail_link(outage(8)),
             FaultPlan::seeded(seed).stall_dps(1.0),
             FaultPlan::seeded(seed).fail_link(outage(30)),
+            FaultPlan::seeded(seed).flip_memory_bits(0.05),
+            FaultPlan::seeded(seed).stall_dps(0.3).flip_memory_bits(0.2),
+            FaultPlan::seeded(seed)
+                .stall_dps(0.9)
+                .flip_memory_bits(0.5)
+                .fail_link(outage(20)),
+            FaultPlan::seeded(seed)
+                .stall_dps(0.5)
+                .flip_memory_bits(1.0)
+                .fail_dp(2),
         ];
         for plan in plans {
-            for limit in [100_000, 150, 61] {
-                for failing in [false, true] {
-                    let label = format!("seed {seed} limit {limit} failing {failing} {plan:?}");
-                    let run = |dense: bool, t: &mut Telemetry| {
-                        let mut m =
-                            MultiMachine::new(MultiSubtype::from_code(0b1001).unwrap(), 6, 4)
-                                .with_cycle_limit(limit)
-                                .with_dense_reference(dense);
-                        m.run_resilient_traced(&stall_storm_programs(failing), plan.clone(), t)
+            for (limit, deadline) in [(100_000, None), (150, None), (61, None), (500, Some(47))] {
+                for shape in ["storm", "failing", "deadlock", "local", "local failing"] {
+                    let label =
+                        format!("seed {seed} limit {limit} deadline {deadline:?} {shape} {plan:?}");
+                    let machine = |dense: bool| {
+                        let cancel = deadline
+                            .map_or_else(CancelToken::new, |d| CancelToken::new().with_deadline(d));
+                        MultiMachine::new(MultiSubtype::from_code(0b1001).unwrap(), 6, 4)
+                            .with_cycle_limit(limit)
+                            .with_dense_reference(dense)
+                            .with_cancel(cancel)
                     };
-                    let (mut event_t, mut dense_t) = (Telemetry::new(), Telemetry::new());
-                    let event = run(false, &mut event_t);
-                    let dense = run(true, &mut dense_t);
+                    let programs = stall_storm_programs(shape);
+                    let mut event_m = machine(false);
+                    let mut event_t = Profiled::new(Telemetry::new());
+                    let event = event_m.run_resilient_traced(&programs, plan.clone(), &mut event_t);
+                    let mut dense_m = machine(true);
+                    let mut dense_t = Telemetry::new();
+                    let dense = dense_m.run_resilient_traced(&programs, plan.clone(), &mut dense_t);
                     assert_eq!(format!("{event:?}"), format!("{dense:?}"), "{label}");
+                    let memory = |m: &MultiMachine| format!("{:?}", m.memory());
+                    assert_eq!(memory(&event_m), memory(&dense_m), "{label}");
                     assert_eq!(
-                        event_t.trace.class_counts(),
+                        event_t.inner.trace.class_counts(),
                         dense_t.trace.class_counts(),
                         "{label}: event-class totals diverged"
                     );
-                    // Untraced, the event scheduler runs without hooks.
-                    let mut m = MultiMachine::new(MultiSubtype::from_code(0b1001).unwrap(), 6, 4)
-                        .with_cycle_limit(limit);
-                    let untraced = m.run_resilient(&stall_storm_programs(failing), plan.clone());
+                    // Untraced, the event scheduler runs without hooks, and
+                    // without messages it hands the run to the decoupled
+                    // path, whose memory after an error is unspecified.
+                    let mut untraced_m = machine(false);
+                    let untraced = untraced_m.run_resilient(&programs, plan.clone());
                     assert_eq!(format!("{untraced:?}"), format!("{dense:?}"), "{label}");
-                    let slot = match dense {
+                    let slot = match &dense {
                         Ok(outcome) => usize::from(outcome.degraded),
                         Err(MachineError::WatchdogTimeout { partial, .. }) => {
                             cut += u64::from(partial.stalls > 0);
                             2
                         }
-                        Err(_) => 3,
+                        Err(MachineError::Deadlock { .. }) => 3,
+                        Err(MachineError::Cancelled { .. }) => 4,
+                        Err(_) => 5,
                     };
                     seen[slot] += 1;
+                    if slot != 3 && slot != 5 {
+                        assert_eq!(memory(&untraced_m), memory(&dense_m), "{label}");
+                    }
+                    if plan.failed_dps().is_empty() {
+                        let flips: Vec<u64> =
+                            plan.bit_flips().take(4_096).map(|f| f.cycle).collect();
+                        // A budget stopped the run between two flips.
+                        if let Err(
+                            MachineError::WatchdogTimeout { partial, .. }
+                            | MachineError::Cancelled { partial, .. },
+                        ) = &dense
+                        {
+                            mid_gap += u64::from(flips.binary_search(&partial.cycles).is_err());
+                        }
+                        // Flips the event scheduler landed on warped-over
+                        // cycles.
+                        let warps = event_t
+                            .profile
+                            .spans()
+                            .iter()
+                            .filter(|s| s.phase == Phase::Warp);
+                        warped_flips += warps
+                            .map(|w| flips.iter().filter(|&&c| w.start < c && c <= w.end).count())
+                            .sum::<usize>();
+                    }
                 }
             }
         }
     }
     assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     assert!(cut > 0, "no budget cut a stall run");
+    assert!(mid_gap > 0, "no budget tripped between flips");
+    assert!(warped_flips > 0, "no flip landed inside a warp");
 }
 
 // -------------------------------------------------------------------------

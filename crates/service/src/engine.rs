@@ -38,7 +38,7 @@ use skilltax_model::dsl::parse_row;
 use skilltax_taxonomy::classify;
 
 use crate::pool::UniPool;
-use crate::proto::{JobKind, JobOutcome, JobRequest, RequestLimits, Scheduler};
+use crate::proto::{JobKind, JobOutcome, JobRequest, RequestLimits};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -219,35 +219,7 @@ impl Engine {
         if request.tenant == tests::PANIC_TENANT {
             panic!("a job of the panic test tenant");
         }
-        let token = self.request_token(cancel, request.deadline_cycles);
-        match &request.kind {
-            JobKind::Classify { name, row } => Self::classify_job(name, row),
-            JobKind::Estimate { name, row } => Self::estimate_job(name, row),
-            JobKind::Simulate {
-                cores,
-                iters,
-                scheduler,
-                fault_seed,
-            } => match fault_seed {
-                Some(seed) if *cores >= 2 => {
-                    self.faulted_simulate(*cores, *iters, *scheduler, *seed, &token)
-                }
-                // Fault plans live on the multi-core fabric; a 1-core
-                // request with a seed runs the plain pooled path.
-                _ => self.plain_simulate(*cores, *iters, *scheduler, &token),
-            },
-            JobKind::Sweep { cores, iters } => self.sweep(cores, *iters, &token),
-            JobKind::FaultSweep {
-                subtype,
-                lanes,
-                seeds,
-                seed0,
-                stall_ppm,
-                flip_ppm,
-            } => self.fault_sweep(
-                *subtype, *lanes, *seeds, *seed0, *stall_ppm, *flip_ppm, &token,
-            ),
-        }
+        self.run(request, cancel, &mut NullTracer)
     }
 
     /// [`Engine::execute`] with span profiling: the same typed outcome,
@@ -260,23 +232,43 @@ impl Engine {
         request: &JobRequest,
         cancel: &CancelToken,
     ) -> (JobOutcome, RunCapture) {
-        let token = self.request_token(cancel, request.deadline_cycles);
         let mut t = Profiled::new(Telemetry::new());
-        let outcome = match &request.kind {
+        let outcome = self.run(request, cancel, &mut t);
+        t.profile.seal();
+        (
+            outcome,
+            RunCapture {
+                events_dropped: t.inner.trace.dropped(),
+                profile: t.profile,
+            },
+        )
+    }
+
+    /// The request's outcome, its machine runs observed by `tracer`;
+    /// with a [`NullTracer`] the hooks compile away.
+    fn run<T: Tracer>(
+        &self,
+        request: &JobRequest,
+        cancel: &CancelToken,
+        tracer: &mut T,
+    ) -> JobOutcome {
+        let token = self.request_token(cancel, request.deadline_cycles);
+        match &request.kind {
             JobKind::Classify { name, row } => Self::classify_job(name, row),
             JobKind::Estimate { name, row } => Self::estimate_job(name, row),
             JobKind::Simulate {
                 cores,
                 iters,
-                scheduler,
                 fault_seed,
             } => match fault_seed {
                 Some(seed) if *cores >= 2 => {
-                    self.faulted_simulate_traced(*cores, *iters, *scheduler, *seed, &token, &mut t)
+                    self.faulted_simulate(*cores, *iters, *seed, &token, tracer)
                 }
-                _ => self.plain_simulate_traced(*cores, *iters, *scheduler, &token, &mut t),
+                // Fault plans live on the multi-core fabric; a 1-core
+                // request with a seed runs the plain pooled path.
+                _ => self.plain_simulate(*cores, *iters, &token, tracer),
             },
-            JobKind::Sweep { cores, iters } => self.sweep_traced(cores, *iters, &token, &mut t),
+            JobKind::Sweep { cores, iters } => self.sweep(cores, *iters, &token, tracer),
             // `ArrayMachine::run_resilient` takes no tracer, so a profiled
             // fault sweep reports the same typed outcome with an empty
             // machine span tree.
@@ -290,15 +282,7 @@ impl Engine {
             } => self.fault_sweep(
                 *subtype, *lanes, *seeds, *seed0, *stall_ppm, *flip_ppm, &token,
             ),
-        };
-        t.profile.seal();
-        (
-            outcome,
-            RunCapture {
-                events_dropped: t.inner.trace.dropped(),
-                profile: t.profile,
-            },
-        )
+        }
     }
 
     fn classify_job(name: &str, row: &str) -> JobOutcome {
@@ -346,34 +330,19 @@ impl Engine {
         }
     }
 
-    fn build_multi(&self, cores: usize, subtype: u8, scheduler: Scheduler) -> MultiMachine {
-        let m = MultiMachine::new(
+    fn build_multi(&self, cores: usize, subtype: u8) -> MultiMachine {
+        MultiMachine::new(
             MultiSubtype::from_index(subtype).expect("engine subtypes are valid"),
             cores,
             self.config.mem_words,
         )
-        .with_cycle_limit(self.config.limits.max_cycles);
-        match scheduler {
-            Scheduler::Dense => m.with_dense_reference(true),
-            Scheduler::Event => m,
-        }
+        .with_cycle_limit(self.config.limits.max_cycles)
     }
 
-    fn plain_simulate(
+    fn plain_simulate<T: Tracer>(
         &self,
         cores: usize,
         iters: i64,
-        scheduler: Scheduler,
-        token: &CancelToken,
-    ) -> JobOutcome {
-        self.plain_simulate_traced(cores, iters, scheduler, token, &mut NullTracer)
-    }
-
-    fn plain_simulate_traced<T: Tracer>(
-        &self,
-        cores: usize,
-        iters: i64,
-        scheduler: Scheduler,
         token: &CancelToken,
         tracer: &mut T,
     ) -> JobOutcome {
@@ -393,9 +362,7 @@ impl Engine {
                 Err(e) => JobOutcome::from_error(e, 0),
             };
         }
-        let mut m = self
-            .build_multi(cores, 1, scheduler)
-            .with_cancel(token.clone());
+        let mut m = self.build_multi(cores, 1).with_cancel(token.clone());
         match m.run_simd_traced(&program, tracer) {
             Ok(stats) => JobOutcome::Completed {
                 summary: String::new(),
@@ -430,22 +397,10 @@ impl Engine {
         }
     }
 
-    fn faulted_simulate(
+    fn faulted_simulate<T: Tracer>(
         &self,
         cores: usize,
         iters: i64,
-        scheduler: Scheduler,
-        seed: u64,
-        token: &CancelToken,
-    ) -> JobOutcome {
-        self.faulted_simulate_traced(cores, iters, scheduler, seed, token, &mut NullTracer)
-    }
-
-    fn faulted_simulate_traced<T: Tracer>(
-        &self,
-        cores: usize,
-        iters: i64,
-        scheduler: Scheduler,
         seed: u64,
         token: &CancelToken,
         tracer: &mut T,
@@ -454,9 +409,7 @@ impl Engine {
         let mut retry = RetryState::default();
         loop {
             let plan = fault_plan(seed, cores, retry.attempts);
-            let mut m = self
-                .build_multi(cores, subtype, scheduler)
-                .with_cancel(token.clone());
+            let mut m = self.build_multi(cores, subtype).with_cancel(token.clone());
             match m.run_resilient_traced(&programs, plan, tracer) {
                 Ok(out) => {
                     return if out.degraded || out.faults_injected > 0 {
@@ -490,13 +443,9 @@ impl Engine {
         }
     }
 
-    fn sweep(&self, cores: &[usize], iters: i64, token: &CancelToken) -> JobOutcome {
-        self.sweep_traced(cores, iters, token, &mut NullTracer)
-    }
-
     /// Each sweep point runs as its own sequential root span in the
     /// profile, so the exported timeline shows the points end to end.
-    fn sweep_traced<T: Tracer>(
+    fn sweep<T: Tracer>(
         &self,
         cores: &[usize],
         iters: i64,
@@ -506,7 +455,7 @@ impl Engine {
         let mut total = Stats::default();
         let mut points = String::new();
         for &c in cores {
-            let outcome = self.plain_simulate_traced(c, iters, Scheduler::Event, token, tracer);
+            let outcome = self.plain_simulate(c, iters, token, tracer);
             match outcome {
                 JobOutcome::Completed {
                     stats: Some(stats), ..
@@ -616,7 +565,6 @@ pub(crate) mod tests {
                     JobKind::Simulate {
                         cores,
                         iters: 30,
-                        scheduler: Scheduler::Event,
                         fault_seed,
                     },
                     None,
@@ -703,7 +651,6 @@ pub(crate) mod tests {
                 JobKind::Simulate {
                     cores: 1,
                     iters: 50,
-                    scheduler: Scheduler::Event,
                     fault_seed: None,
                 },
                 None,
@@ -728,7 +675,6 @@ pub(crate) mod tests {
                     JobKind::Simulate {
                         cores: 4,
                         iters: 1_000_000,
-                        scheduler: Scheduler::Event,
                         fault_seed: None,
                     },
                     Some(25),
@@ -747,27 +693,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn scheduler_choices_agree_on_the_answer() {
-        let e = engine();
-        let run = |s: Scheduler| {
-            e.execute(
-                &request(
-                    JobKind::Simulate {
-                        cores: 4,
-                        iters: 100,
-                        scheduler: s,
-                        fault_seed: None,
-                    },
-                    None,
-                ),
-                &CancelToken::new(),
-            )
-        };
-        let dense = run(Scheduler::Dense);
-        assert_eq!(dense, run(Scheduler::Event));
-    }
-
-    #[test]
     fn fault_seeds_reach_typed_outcomes_deterministically() {
         let e = engine();
         for seed in 0..12u64 {
@@ -777,7 +702,6 @@ pub(crate) mod tests {
                         JobKind::Simulate {
                             cores: 4,
                             iters: 60,
-                            scheduler: Scheduler::Event,
                             fault_seed: Some(seed),
                         },
                         None,
@@ -819,7 +743,6 @@ pub(crate) mod tests {
                 JobKind::Simulate {
                     cores: 1,
                     iters: 75,
-                    scheduler: Scheduler::Event,
                     fault_seed: None,
                 },
                 None,

@@ -42,6 +42,6 @@ pub use engine::{Engine, EngineConfig, RunCapture};
 pub use http::{prometheus_text, serve, serve_with_perf, HttpConfig, HttpServer};
 pub use perf::{PerfError, PerfSource};
 pub use pool::UniPool;
-pub use proto::{JobKind, JobOutcome, JobRequest, Rejection, RequestLimits, Scheduler};
+pub use proto::{JobKind, JobOutcome, JobRequest, Rejection, RequestLimits};
 pub use quota::{QuotaConfig, QuotaLedger};
 pub use service::{JobTicket, JobTrace, Service, ServiceConfig, ServiceMetrics, TraceSpan};

@@ -32,16 +32,6 @@ impl Default for RequestLimits {
     }
 }
 
-/// Which scheduler a simulate job runs under (the service exposes both
-/// so clients can cross-check the identity contract end to end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// The dense per-cycle reference loop.
-    Dense,
-    /// The event-driven active-set loop (the default).
-    Event,
-}
-
 /// What a job asks the service to compute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobKind {
@@ -66,8 +56,6 @@ pub enum JobKind {
         cores: usize,
         /// Loop iterations per core.
         iters: i64,
-        /// Scheduler choice for multi-core runs.
-        scheduler: Scheduler,
         /// Optional fault-plan seed: enables the transient-stall storm
         /// the retry/degradation tiers are exercised against.
         fault_seed: Option<u64>,
@@ -295,9 +283,8 @@ impl JobOutcome {
 ///
 /// Recognised keys: `tenant`, `kind` (`classify` | `estimate` |
 /// `simulate` | `sweep` | `faultsweep`), `name`, `row`, `cores` (single
-/// number, or a comma list for sweeps), `iters`, `scheduler` (`dense` |
-/// `event`; anything else, the removed `sharded[:N]` included, is
-/// malformed), `fault_seed`, `deadline_cycles`,
+/// number, or a comma list for sweeps), `iters`, `fault_seed`,
+/// `deadline_cycles`,
 /// and for fault sweeps `subtype` (`I`..`IV`), `lanes`, `seeds`,
 /// `stall_ppm`, `flip_ppm` (fault rates as integer parts per million).
 pub fn parse_request(body: &str) -> Result<JobRequest, Rejection> {
@@ -307,7 +294,6 @@ pub fn parse_request(body: &str) -> Result<JobRequest, Rejection> {
     let mut row = None;
     let mut cores = None;
     let mut iters = None;
-    let mut scheduler = Scheduler::Event;
     let mut fault_seed = None;
     let mut deadline_cycles = None;
     let mut subtype = None;
@@ -330,17 +316,6 @@ pub fn parse_request(body: &str) -> Result<JobRequest, Rejection> {
                 iters = Some(value.parse::<i64>().map_err(|_| {
                     Rejection::Malformed(format!("iters is not a number: {value:?}"))
                 })?)
-            }
-            "scheduler" => {
-                scheduler = match value {
-                    "dense" => Scheduler::Dense,
-                    "event" => Scheduler::Event,
-                    other => {
-                        return Err(Rejection::Malformed(format!(
-                            "unknown scheduler: {other:?} (expected dense or event)"
-                        )))
-                    }
-                }
             }
             "fault_seed" => {
                 fault_seed = Some(value.parse::<u64>().map_err(|_| {
@@ -412,7 +387,6 @@ pub fn parse_request(body: &str) -> Result<JobRequest, Rejection> {
         "simulate" => JobKind::Simulate {
             cores: parse_cores_one(&cores)?,
             iters: iters.unwrap_or(100),
-            scheduler,
             fault_seed,
         },
         "sweep" => {
@@ -621,8 +595,7 @@ mod tests {
     #[test]
     fn parses_a_simulate_request() {
         let req = parse_request(
-            "tenant=acme&kind=simulate&cores=16&iters=500&scheduler=dense\
-             &fault_seed=7&deadline_cycles=1000",
+            "tenant=acme&kind=simulate&cores=16&iters=500&fault_seed=7&deadline_cycles=1000",
         )
         .unwrap();
         assert_eq!(req.tenant, "acme");
@@ -631,11 +604,9 @@ mod tests {
             JobKind::Simulate {
                 cores,
                 iters,
-                scheduler,
                 fault_seed,
             } => {
                 assert_eq!((cores, iters), (16, 500));
-                assert_eq!(scheduler, Scheduler::Dense);
                 assert_eq!(fault_seed, Some(7));
             }
             other => panic!("wrong kind: {other:?}"),
@@ -704,8 +675,10 @@ mod tests {
             "tenant=t&kind=faultsweep&lanes=0",   // degenerate array
             "tenant=t&kind=faultsweep&seeds=0",   // empty population
             "tenant=t&kind=faultsweep&stall_ppm=-1",
-            "tenant=t&kind=simulate&scheduler=sharded", // removed scheduler
+            "tenant=t&kind=simulate&scheduler=sharded", // removed key
             "tenant=t&kind=simulate&scheduler=sharded:2",
+            "tenant=t&kind=simulate&scheduler=dense",
+            "tenant=t&kind=simulate&scheduler=event",
         ] {
             assert!(
                 matches!(parse_request(body), Err(Rejection::Malformed(_))),

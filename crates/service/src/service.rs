@@ -704,7 +704,6 @@ mod tests {
             kind: JobKind::Simulate {
                 cores: 1,
                 iters,
-                scheduler: crate::proto::Scheduler::Event,
                 fault_seed: None,
             },
             deadline_cycles: None,
@@ -838,7 +837,6 @@ mod tests {
             kind: JobKind::Simulate {
                 cores: 100_000,
                 iters: 10,
-                scheduler: crate::proto::Scheduler::Event,
                 fault_seed: None,
             },
             deadline_cycles: None,

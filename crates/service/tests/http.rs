@@ -137,12 +137,13 @@ fn malformed_and_oversized_map_to_typed_4xx() {
 }
 
 #[test]
-fn the_removed_sharded_scheduler_is_a_malformed_request() {
-    // `scheduler=sharded[:N]` named the shard-parallel runner, which is
-    // gone: the body is a typed 400 naming the schedulers that remain.
+fn the_removed_scheduler_key_is_a_malformed_request() {
+    // `scheduler=` chose the dense reference loop or, before that, the
+    // shard-parallel runner; every simulation now runs the event
+    // scheduler, so the key is an unknown field: a typed 400.
     let (_service, server) = start(8, 1);
     let addr = server.local_addr();
-    for scheduler in ["sharded", "sharded:2"] {
+    for scheduler in ["dense", "event", "sharded", "sharded:2"] {
         let body = format!("tenant=t&kind=simulate&cores=4&iters=10&scheduler={scheduler}");
         let response = post_jobs(addr, &body);
         assert!(response.starts_with("HTTP/1.1 400"), "{response}");
@@ -150,12 +151,9 @@ fn the_removed_sharded_scheduler_is_a_malformed_request() {
             response.contains("\"rejected\":\"malformed\""),
             "{response}"
         );
-        assert!(response.contains("expected dense or event"), "{response}");
+        assert!(response.contains("unknown field"), "{response}");
     }
-    let response = post_jobs(
-        addr,
-        "tenant=t&kind=simulate&cores=4&iters=10&scheduler=dense",
-    );
+    let response = post_jobs(addr, "tenant=t&kind=simulate&cores=4&iters=10");
     assert!(response.starts_with("HTTP/1.1 200"), "{response}");
 }
 

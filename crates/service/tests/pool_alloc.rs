@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use skilltax_machine::CancelToken;
-use skilltax_service::{Engine, EngineConfig, JobKind, JobOutcome, JobRequest, Scheduler};
+use skilltax_service::{Engine, EngineConfig, JobKind, JobOutcome, JobRequest};
 
 /// The system allocator with a global allocation counter.
 struct CountingAlloc;
@@ -61,7 +61,6 @@ fn simulate(iters: i64) -> JobRequest {
         kind: JobKind::Simulate {
             cores: 1,
             iters,
-            scheduler: Scheduler::Event,
             fault_seed: None,
         },
         deadline_cycles: None,

@@ -91,7 +91,7 @@ fn main() {
     let addr = server.local_addr();
     for body in [
         "tenant=demo&kind=classify&name=MorphoSys&row=1 %7C 64 %7C none %7C 1-64 %7C 1-1 %7C 64-1 %7C 64x64",
-        "tenant=demo&kind=simulate&cores=4&iters=200&scheduler=dense",
+        "tenant=demo&kind=simulate&cores=4&iters=200",
         "tenant=demo&kind=simulate&cores=4&iters=1000000&deadline_cycles=50",
         "tenant=demo&kind=simulate&cores=100000",
     ] {
