@@ -41,7 +41,8 @@ use skilltax_machine::workload::{
 use skilltax_machine::{Assembler, CancelToken, FaultPlan, Instr, Program, Stats, Word};
 use skilltax_service::admission::{DrrQueue, QueuedJob};
 use skilltax_service::{
-    run_chaos, ChaosConfig, Engine, EngineConfig, JobKind, JobOutcome, JobRequest,
+    run_chaos, serve, ChaosConfig, Engine, EngineConfig, HttpConfig, HttpServer, JobKind,
+    JobOutcome, JobRequest, QuotaConfig, Service, ServiceConfig,
 };
 use skilltax_taxonomy::{classify, flexibility_of_spec, Taxonomy};
 
@@ -722,8 +723,78 @@ pub fn suite() -> Vec<SuiteBench> {
             m
         },
     ));
+    {
+        // Started on first use, so a filtered collection spawns nothing.
+        let served = std::cell::OnceCell::new();
+        benches.push(SuiteBench::new(
+            "service/http/roundtrip/64",
+            "service",
+            move |_| {
+                let (service, server) = served.get_or_init(start_http_service);
+                let before = service.metrics();
+                for _ in 0..64 {
+                    let response =
+                        post_job(server.local_addr(), "tenant=bench&kind=simulate&iters=50");
+                    assert!(response.contains("\"outcome\":\"completed\""), "{response}");
+                }
+                // Sequential requests each find a free slot and an empty
+                // queue, so every job runs on its connection thread.
+                let after = service.metrics();
+                let mut m = BTreeMap::new();
+                m.insert(
+                    "work.caller_runs".to_owned(),
+                    after.caller_runs - before.caller_runs,
+                );
+                m.insert(
+                    "work.worker_runs".to_owned(),
+                    after.worker_runs - before.worker_runs,
+                );
+                m
+            },
+        ));
+    }
 
     benches
+}
+
+/// A service behind its HTTP front end on an ephemeral loopback port,
+/// with a quota that never refuses the suite's repeated batches.
+fn start_http_service() -> (std::sync::Arc<Service>, HttpServer) {
+    let service = std::sync::Arc::new(Service::start(ServiceConfig {
+        quota: QuotaConfig {
+            capacity: 1 << 40,
+            refill_num: 1 << 20,
+            refill_den: 1,
+        },
+        ..ServiceConfig::default()
+    }));
+    let server = serve(
+        std::sync::Arc::clone(&service),
+        HttpConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            ..HttpConfig::default()
+        },
+    )
+    .expect("bind a loopback port");
+    (service, server)
+}
+
+/// One `POST /jobs` on a fresh connection; the whole response.
+fn post_job(addr: std::net::SocketAddr, body: &str) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect to the service");
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream
+        .write_all(request.as_bytes())
+        .expect("send the request");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("read the response");
+    response
 }
 
 /// Batch depth for a mode, with the `SKILLTAX_BENCH_*` environment

@@ -219,6 +219,10 @@ impl Engine {
         if request.tenant == tests::PANIC_TENANT {
             panic!("a job of the panic test tenant");
         }
+        #[cfg(test)]
+        if request.tenant == tests::GATE_TENANT {
+            tests::pass_gate();
+        }
         self.run(request, cancel, &mut NullTracer)
     }
 
@@ -541,6 +545,28 @@ pub(crate) mod tests {
     /// Jobs of this tenant panic inside [`Engine::execute`] (test builds
     /// only), standing in for an engine bug.
     pub(crate) const PANIC_TENANT: &str = "panic-test";
+
+    /// Jobs of this tenant wait inside [`Engine::execute`] until
+    /// [`open_gate`] (test builds only), standing in for a long run.
+    pub(crate) const GATE_TENANT: &str = "gate-test";
+
+    static GATE: (std::sync::Mutex<bool>, std::sync::Condvar) =
+        (std::sync::Mutex::new(false), std::sync::Condvar::new());
+
+    pub(crate) fn pass_gate() {
+        let (open, cv) = &GATE;
+        let mut open = open.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+    }
+
+    /// Let every gated job through, now and later.
+    pub(crate) fn open_gate() {
+        let (open, cv) = &GATE;
+        *open.lock().unwrap() = true;
+        cv.notify_all();
+    }
 
     fn engine() -> Engine {
         Engine::new(EngineConfig::default())

@@ -4,14 +4,17 @@
 //! body are capped, and a slow-loris client times out on its own
 //! connection thread without ever pinning a job worker.
 //!
-//! One accept thread hands each connection to the connection thread that
-//! parked most recently, spawning one only when none is parked.  A
-//! connection thread serves one connection at a time (one request, then
-//! `Connection: close`), parks, and exits after
-//! `CONNECTIONS_PER_THREAD` (64) connections.  Their number is capped at
-//! [`Service::job_capacity`] plus [`CONNECTION_RESERVE`]; past the cap
-//! the accept thread itself answers `503` with `Retry-After`, counted in
-//! `/metrics` as `refused_connections`.
+//! Connection threads accept for themselves (leader/followers): each
+//! blocks in `accept` on the shared listener, serves the connection it
+//! takes (one request, then `Connection: close`) and goes back to
+//! `accept`, until it has served `CONNECTIONS_PER_THREAD` (64).  The
+//! thread that takes the last idle place spawns a replacement, so one
+//! thread stays in `accept`.  At most [`Service::job_capacity`] plus
+//! [`CONNECTION_RESERVE`] threads serve at once; past that the thread
+//! left in `accept` answers `503` with `Retry-After` itself, counted in
+//! `/metrics` as `refused_connections`.  A cheap job runs on its
+//! connection thread when a worker would start it at once
+//! ([`Service::call`]).
 //!
 //! Routes:
 //!
@@ -19,7 +22,8 @@
 //!   replies `200` with the outcome JSON, or a typed 4xx with a
 //!   `Retry-After` header where retrying helps.  Add `profile=true` to
 //!   the body and the job is span-profiled end to end; the assembled
-//!   timeline lands in the trace ring behind `GET /trace/jobs`.
+//!   timeline lands in the trace ring behind `GET /trace/jobs`.  A
+//!   client that closes while its job waits for a worker cancels it.
 //! * `GET /metrics` — counter snapshot as JSON, or Prometheus text
 //!   exposition with `?format=prometheus` (or `Accept: text/plain`).
 //! * `GET /trace/jobs` — recent profiled jobs as a Chrome trace-event
@@ -31,18 +35,15 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use skilltax_report::prometheus::{PromWriter, PROMETHEUS_CONTENT_TYPE};
 use skilltax_report::trace::{chrome_trace, TraceTrack};
 
 use crate::perf::{self, PerfSource};
-use crate::proto::{outcome_json, parse_request_profiled, rejection_json, Rejection};
-use crate::service::{Service, ServiceMetrics};
+use crate::proto::{outcome_json, parse_request_profiled, rejection_json, JobOutcome, Rejection};
+use crate::service::{JobTicket, Service, ServiceMetrics};
 
 const JSON_CONTENT_TYPE: &str = "application/json";
 
@@ -78,20 +79,12 @@ impl Default for HttpConfig {
 }
 
 /// A running HTTP server; dropping it (or calling
-/// [`HttpServer::shutdown`]) stops the accept loop.
+/// [`HttpServer::shutdown`]) stops the connection threads.
+#[derive(Debug)]
 pub struct HttpServer {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    threads: Arc<Threads<TcpStream>>,
-}
-
-impl std::fmt::Debug for HttpServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpServer")
-            .field("local_addr", &self.local_addr)
-            .finish()
-    }
+    /// Owned by the connection threads; the last to exit frees the service.
+    acceptors: Weak<Acceptors<Http>>,
 }
 
 impl HttpServer {
@@ -100,25 +93,19 @@ impl HttpServer {
         self.local_addr
     }
 
-    /// Connection threads alive now, parked or serving; never more than
-    /// [`Service::job_capacity`] plus [`CONNECTION_RESERVE`].
+    /// Connection threads alive now, accepting or serving: at most one
+    /// more than [`Service::job_capacity`] plus [`CONNECTION_RESERVE`].
     pub fn connection_threads(&self) -> usize {
-        self.threads.lock().live
+        self.acceptors.upgrade().map_or(0, |a| a.lock().live)
     }
 
-    /// Stop accepting connections, join the accept loop and retire the
-    /// connection threads: parked ones wake and exit, busy ones exit
-    /// after their current connection (bounded by its timeouts).
+    /// Stop accepting connections: threads in `accept` wake and exit,
+    /// busy ones exit after their current connection (bounded by its
+    /// timeouts).
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept call with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
-        // The accept thread owns the connection pool, so joining it also
-        // retires the pool (see `ConnectionPool`'s `Drop`).
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+        // One throwaway connection per thread blocked in `accept`.
+        for _ in 0..self.acceptors.upgrade().map_or(0, |a| a.stop()) {
+            let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
         }
     }
 }
@@ -130,7 +117,7 @@ impl Drop for HttpServer {
 }
 
 /// Serve `service` over HTTP.  Returns once the socket is bound and the
-/// accept loop is running.
+/// first connection thread is spawned.
 pub fn serve(service: Arc<Service>, config: HttpConfig) -> io::Result<HttpServer> {
     serve_with_perf(service, config, None)
 }
@@ -145,33 +132,18 @@ pub fn serve_with_perf(
 ) -> io::Result<HttpServer> {
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let epoch = Instant::now();
     let cap = service.job_capacity() + CONNECTION_RESERVE;
-    let refusals = Arc::clone(&service);
-    // Connection threads never borrow a job worker, so a stalled client
-    // holds only its own thread, and only until its timeouts expire.
-    let pool = ConnectionPool::new(cap, move |stream| {
-        let _ = handle_connection(&service, &config, epoch, perf.as_deref(), stream);
-    });
-    let threads = Arc::clone(&pool.threads);
-    let accept = std::thread::spawn(move || {
-        accept_loop(
-            || listener.accept().map(|(stream, _)| stream),
-            &accept_stop,
-            |stream| {
-                if let Err(stream) = pool.dispatch(stream) {
-                    refuse(&refusals, stream);
-                }
-            },
-        );
-    });
+    let http = Http {
+        listener,
+        service,
+        config,
+        epoch: Instant::now(),
+        perf,
+    };
+    let acceptors = Arc::downgrade(&Acceptors::start(http, cap)?);
     Ok(HttpServer {
         local_addr,
-        stop,
-        accept: Some(accept),
-        threads,
+        acceptors,
     })
 }
 
@@ -191,161 +163,207 @@ pub const CONNECTION_RESERVE: usize = 8;
 /// Name of every connection thread.
 const CONNECTION_THREAD_NAME: &str = "skilltax-conn";
 
-/// Write timeout for the `503` at the cap.  The accept thread writes it
-/// itself, so it must never wait long on that client.
+/// Write timeout for the `503` at the cap.  The thread left in `accept`
+/// writes it itself, so it must never wait long on that client.
 const REFUSAL_WRITE_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// The connection threads' shared state: the cap, the live count it
-/// bounds, and the LIFO stack of parked threads.
-struct Threads<S> {
+/// What connection threads do with connections.  The HTTP front end is
+/// the one implementation; the unit tests drive the threads with a fake.
+trait Front: Send + Sync + 'static {
+    /// One accepted connection.
+    type Conn;
+    /// Block until the next connection arrives.
+    fn accept(&self) -> io::Result<Self::Conn>;
+    /// Serve `conn` to its close.
+    fn serve(&self, conn: Self::Conn);
+    /// Turn `conn` away at the cap without blocking on it.
+    fn refuse(&self, conn: Self::Conn);
+}
+
+/// The connection threads' shared state: the front they serve, the cap
+/// and the census it bounds.
+struct Acceptors<F> {
+    front: F,
+    /// Most threads serving at once; one more stays in `accept`.
     cap: usize,
-    state: Mutex<ThreadsState<S>>,
+    census: Mutex<Census>,
 }
 
-struct ThreadsState<S> {
-    /// Threads alive, parked or serving.
+struct Census {
+    /// Threads alive, accepting or serving.
     live: usize,
-    /// One-slot hand-off channels of the parked threads, most recently
-    /// parked last.
-    parked: Vec<SyncSender<S>>,
-    /// Raised by shutdown: no thread parks again.
-    retired: bool,
+    /// Threads in `accept`, or on their way to it.
+    idle: usize,
+    /// Raised by shutdown: no thread serves or accepts again.
+    stopped: bool,
 }
 
-impl<S> Threads<S> {
-    /// Every critical section leaves the state consistent (none can
-    /// panic midway), so a poisoned lock is safe to keep using.
-    fn lock(&self) -> MutexGuard<'_, ThreadsState<S>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+impl<F: Front> Acceptors<F> {
+    /// The first connection thread, in `accept` on `front`.
+    fn start(front: F, cap: usize) -> io::Result<Arc<Acceptors<F>>> {
+        let acceptors = Arc::new(Acceptors {
+            front,
+            cap,
+            census: Mutex::new(Census {
+                live: 1,
+                idle: 1,
+                stopped: false,
+            }),
+        });
+        spawn_acceptor(&acceptors)?;
+        Ok(acceptors)
     }
 
-    /// Wake every parked thread to exit (dropping its channel's sender
-    /// ends its wait) and stop busy ones from parking again.
-    fn retire(&self) {
-        let mut state = self.lock();
-        state.retired = true;
-        state.parked.clear();
+    /// Every critical section leaves the census consistent (none can
+    /// panic midway), so a poisoned lock is safe to keep using.
+    fn lock(&self) -> MutexGuard<'_, Census> {
+        self.census.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Raise the stop flag and return how many threads wait in `accept`
+    /// and need a connection to wake them (0 when already stopped).
+    fn stop(&self) -> usize {
+        let mut census = self.lock();
+        if std::mem::replace(&mut census.stopped, true) {
+            return 0;
+        }
+        census.idle
     }
 }
 
 /// One live thread's place under the cap, given back on drop: when the
 /// thread exits, when it panics, and when it never starts.
-struct LiveSlot<S>(Arc<Threads<S>>);
+struct LiveSlot<F: Front>(Arc<Acceptors<F>>);
 
-impl<S> Drop for LiveSlot<S> {
+impl<F: Front> Drop for LiveSlot<F> {
     fn drop(&mut self) {
         self.0.lock().live -= 1;
     }
 }
 
-/// Bounded, reused connection threads, generic over what a connection
-/// is (`S`) and how one is served (`F`).
-struct ConnectionPool<S, F> {
-    threads: Arc<Threads<S>>,
-    serve: Arc<F>,
+/// Start a connection thread the caller has already counted as live and
+/// idle.  If the OS refuses the thread, both counts are given back.
+fn spawn_acceptor<F: Front>(acceptors: &Arc<Acceptors<F>>) -> io::Result<()> {
+    let slot = LiveSlot(Arc::clone(acceptors));
+    // Detached: shutdown must not wait on a slow client, and `slot`
+    // gives the place back however the thread ends.
+    let spawned = std::thread::Builder::new()
+        .name(CONNECTION_THREAD_NAME.to_owned())
+        .spawn(move || acceptor(&slot));
+    if spawned.is_err() {
+        // The unstarted closure, and the slot in it, are dropped.
+        acceptors.lock().idle -= 1;
+    }
+    spawned.map(drop)
 }
 
-impl<S, F> ConnectionPool<S, F>
-where
-    S: Send + 'static,
-    F: Fn(S) + Send + Sync + 'static,
-{
-    fn new(cap: usize, serve: F) -> ConnectionPool<S, F> {
-        ConnectionPool {
-            threads: Arc::new(Threads {
-                cap,
-                state: Mutex::new(ThreadsState {
-                    live: 0,
-                    parked: Vec::new(),
-                    retired: false,
-                }),
-            }),
-            serve: Arc::new(serve),
+/// A connection thread: accept, serve, and accept again, until shutdown
+/// or [`CONNECTIONS_PER_THREAD`] connections.  The thread that takes the
+/// last idle place spawns a replacement while at most `cap` serve; past
+/// the cap it refuses the connection and goes back to `accept`.  A
+/// persistent accept error (EMFILE, say) would otherwise spin a core,
+/// so failures back off ([`AcceptBackoff`]).
+fn acceptor<F: Front>(slot: &LiveSlot<F>) {
+    let acceptors = &slot.0;
+    let mut backoff = AcceptBackoff::new();
+    let mut served = 0;
+    loop {
+        let accepted = acceptors.front.accept();
+        let mut census = acceptors.lock();
+        census.idle -= 1;
+        if census.stopped {
+            return;
+        }
+        let Ok(conn) = accepted else {
+            census.idle += 1;
+            drop(census);
+            std::thread::sleep(backoff.failed());
+            continue;
+        };
+        backoff.succeeded();
+        // The last thread in `accept` keeps a thread there: it refuses
+        // at the cap, and otherwise counts in a replacement first.
+        let last = census.idle == 0;
+        if last && census.live > acceptors.cap {
+            census.idle += 1;
+            drop(census);
+            acceptors.front.refuse(conn);
+            continue;
+        }
+        census.live += usize::from(last);
+        census.idle += usize::from(last);
+        drop(census);
+        if last {
+            // On failure the place is given back; the next thread to
+            // finish its connection returns to `accept`.
+            let _ = spawn_acceptor(acceptors);
+        }
+        acceptors.front.serve(conn);
+        served += 1;
+        let mut census = acceptors.lock();
+        if census.stopped || served == CONNECTIONS_PER_THREAD {
+            return;
+        }
+        census.idle += 1;
+    }
+}
+
+/// The HTTP front end the connection threads run.
+struct Http {
+    listener: TcpListener,
+    service: Arc<Service>,
+    config: HttpConfig,
+    /// Origin of the millisecond admission clock.
+    epoch: Instant,
+    perf: Option<Arc<dyn PerfSource>>,
+}
+
+impl Front for Http {
+    type Conn = TcpStream;
+
+    fn accept(&self) -> io::Result<TcpStream> {
+        self.listener.accept().map(|(stream, _)| stream)
+    }
+
+    fn serve(&self, mut stream: TcpStream) {
+        let mut complete = false;
+        let _ = serve_once(self, &mut stream, &mut complete);
+        // With nothing left unread, closing at once cannot reset the
+        // response away; a capped or timed-out request's response closes
+        // gracefully (bounded by the read timeout).
+        if !complete {
+            drain(&mut stream, 64);
         }
     }
 
-    /// Hand `conn` to the most recently parked thread, or to a new
-    /// thread when none is parked.  At the cap `conn` comes back for the
-    /// caller to refuse.  If the OS refuses a new thread, `conn` is
-    /// dropped, which closes it.
-    fn dispatch(&self, mut conn: S) -> Result<(), S> {
-        let mut state = self.threads.lock();
-        while let Some(parked) = state.parked.pop() {
-            match parked.try_send(conn) {
-                Ok(()) => return Ok(()),
-                // A parked thread waits on its empty slot until woken,
-                // so this is unreachable; trying the next one is safe.
-                Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => conn = back,
-            }
+    /// `503` with `Retry-After` under a short write timeout.  Request
+    /// bytes already received are read without blocking, so the close
+    /// is less likely to reset the response away.
+    fn refuse(&self, mut stream: TcpStream) {
+        self.service.record_refused_connection();
+        let _ = stream.set_write_timeout(Some(REFUSAL_WRITE_TIMEOUT));
+        let _ = write_response(
+            &mut stream,
+            "503 Service Unavailable",
+            JSON_CONTENT_TYPE,
+            Some(1_000),
+            "{\"error\":\"connection threads at capacity\"}",
+        );
+        if stream.set_nonblocking(true).is_ok() {
+            drain(&mut stream, 16);
         }
-        if state.live >= self.threads.cap {
-            return Err(conn);
-        }
-        state.live += 1;
-        drop(state);
-        let slot = LiveSlot(Arc::clone(&self.threads));
-        let serve = Arc::clone(&self.serve);
-        // Detached: shutdown must not wait on a slow client, and `slot`
-        // gives the place back however the thread ends.
-        let _ = std::thread::Builder::new()
-            .name(CONNECTION_THREAD_NAME.to_owned())
-            .spawn(move || connection_thread(&slot, &*serve, conn));
-        Ok(())
     }
 }
 
-/// The accept thread owns the pool, so this retires the connection
-/// threads when the accept loop ends.
-impl<S, F> Drop for ConnectionPool<S, F> {
-    fn drop(&mut self) {
-        self.threads.retire();
-    }
-}
-
-/// A connection thread: serve `conn`, park until the accept thread hands
-/// over the next one, and exit after [`CONNECTIONS_PER_THREAD`] or once
-/// the pool retires.
-fn connection_thread<S, F: Fn(S)>(slot: &LiveSlot<S>, serve: &F, mut conn: S) {
-    for _ in 1..CONNECTIONS_PER_THREAD {
-        serve(conn);
-        let (handoff, next) = mpsc::sync_channel(1);
-        {
-            let mut state = slot.0.lock();
-            if state.retired {
-                return;
-            }
-            state.parked.push(handoff);
-        }
-        match next.recv() {
-            Ok(handed) => conn = handed,
-            Err(_) => return,
-        }
-    }
-    serve(conn);
-}
-
-/// Turn away a connection the thread cap refused: `503` with
-/// `Retry-After`, written by the accept thread under a short write
-/// timeout.  Request bytes already received are read without blocking,
-/// so the close is less likely to reset the response away.
-fn refuse(service: &Service, mut stream: TcpStream) {
-    service.record_refused_connection();
-    let _ = stream.set_write_timeout(Some(REFUSAL_WRITE_TIMEOUT));
-    let _ = write_response(
-        &mut stream,
-        "503 Service Unavailable",
-        JSON_CONTENT_TYPE,
-        Some(1_000),
-        "{\"error\":\"connection threads at capacity\"}",
-    );
+/// Signal EOF to the client first, then read what it still sends (up to
+/// `reads` chunks), so the close does not reset the response away.
+fn drain(stream: &mut TcpStream, reads: usize) {
     let _ = stream.shutdown(Shutdown::Write);
-    if stream.set_nonblocking(true).is_ok() {
-        let mut sink = [0u8; 1024];
-        for _ in 0..16 {
-            match stream.read(&mut sink) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
+    let mut sink = [0u8; 1024];
+    for _ in 0..reads {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
     }
 }
@@ -381,31 +399,6 @@ impl AcceptBackoff {
     }
 }
 
-/// Accept connections until `stop` is raised, handing each to `serve`.
-/// A persistent accept error (EMFILE, say) would otherwise spin a core,
-/// so failures back off ([`AcceptBackoff`]).  The flag is checked after
-/// every accept, so shutdown waits at most one pause plus one accept.
-fn accept_loop<S>(
-    mut accept: impl FnMut() -> io::Result<S>,
-    stop: &AtomicBool,
-    mut serve: impl FnMut(S),
-) {
-    let mut backoff = AcceptBackoff::new();
-    loop {
-        let accepted = accept();
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match accepted {
-            Ok(stream) => {
-                backoff.succeeded();
-                serve(stream);
-            }
-            Err(_) => std::thread::sleep(backoff.failed()),
-        }
-    }
-}
-
 fn metrics_json(m: &ServiceMetrics) -> String {
     let outcomes: Vec<String> = m
         .outcomes
@@ -415,7 +408,7 @@ fn metrics_json(m: &ServiceMetrics) -> String {
     format!(
         "{{\"submitted\":{},\"admitted\":{},\"rejected\":{},\"finished\":{},\
          \"in_flight\":{},\"peak_depth\":{},\"trace_events_dropped\":{},\"outcomes\":{{{}}},\
-         \"refused_connections\":{}}}",
+         \"runs\":{{\"caller\":{},\"worker\":{}}},\"refused_connections\":{}}}",
         m.submitted,
         m.admitted,
         m.rejected(),
@@ -424,6 +417,8 @@ fn metrics_json(m: &ServiceMetrics) -> String {
         m.peak_depth,
         m.trace_events_dropped,
         outcomes.join(","),
+        m.caller_runs,
+        m.worker_runs,
         m.refused_connections
     )
 }
@@ -480,6 +475,14 @@ pub fn prometheus_text(m: &ServiceMetrics) -> String {
             &[("outcome", label)],
             *count,
         );
+    }
+    w.family(
+        "skilltax_jobs_run_total",
+        "counter",
+        "Jobs run, by the thread that ran them: its caller or a worker.",
+    );
+    for (thread, count) in [("caller", m.caller_runs), ("worker", m.worker_runs)] {
+        w.sample("skilltax_jobs_run_total", &[("thread", thread)], count);
     }
     w.family(
         "skilltax_jobs_in_flight",
@@ -670,35 +673,10 @@ fn parse_content_length<'a>(lines: impl Iterator<Item = &'a str>) -> Result<usiz
     Ok(length.unwrap_or(0))
 }
 
-fn handle_connection(
-    service: &Service,
-    config: &HttpConfig,
-    epoch: Instant,
-    perf: Option<&dyn PerfSource>,
-    mut stream: TcpStream,
-) -> io::Result<()> {
-    let result = serve_once(service, config, epoch, perf, &mut stream);
-    // Graceful close: signal EOF to the peer first, then drain whatever
-    // request bytes are still in flight (bounded by the read timeout),
-    // so a capped request sees the error response instead of a reset.
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut sink = [0u8; 1024];
-    for _ in 0..64 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-    result
-}
-
-fn serve_once(
-    service: &Service,
-    config: &HttpConfig,
-    epoch: Instant,
-    perf: Option<&dyn PerfSource>,
-    stream: &mut TcpStream,
-) -> io::Result<()> {
+/// Serve one request.  `complete` is raised once the whole request,
+/// head plus `Content-Length` body bytes and nothing more, was read.
+fn serve_once(http: &Http, stream: &mut TcpStream, complete: &mut bool) -> io::Result<()> {
+    let (service, config) = (&*http.service, &http.config);
     stream.set_read_timeout(Some(config.read_timeout))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
     let (buf, body_start) = match read_head(stream, config.max_header_bytes) {
@@ -723,9 +701,10 @@ fn serve_once(
         Ok(n) => n,
         Err(reason) => return plain_error(stream, "400 Bad Request", reason),
     };
+    *complete = buf.len() == body_start + content_length;
     let accept = header_value(header_lines.iter().copied(), "accept").unwrap_or("");
     if path == "/perf" || path.starts_with("/perf/") || path.starts_with("/perf?") {
-        return match (method.as_str(), perf) {
+        return match (method.as_str(), http.perf.as_deref()) {
             ("GET", Some(source)) => {
                 let (status, body) = perf::respond(source, &path);
                 write_response(stream, status, JSON_CONTENT_TYPE, None, &body)
@@ -782,6 +761,7 @@ fn serve_once(
                 };
                 body.extend_from_slice(&chunk[..n]);
             }
+            *complete = body.len() == content_length;
             body.truncate(content_length);
             let body = String::from_utf8_lossy(&body).to_string();
             let parse_start = Instant::now();
@@ -790,35 +770,54 @@ fn serve_once(
                 Err(rejection) => return rejection_response(stream, &rejection),
             };
             let parse_ns = parse_start.elapsed().as_nanos() as u64;
-            let now_ms = epoch.elapsed().as_millis() as u64;
-            let submitted = if profiled {
-                service.submit_profiled(now_ms, request, parse_ns)
-            } else {
-                service.submit(now_ms, request)
+            let now_ms = http.epoch.elapsed().as_millis() as u64;
+            let ticket = match service.call(now_ms, request, profiled.then_some(parse_ns)) {
+                Ok(ticket) => ticket,
+                Err(rejection) => return rejection_response(stream, &rejection),
             };
-            match submitted {
-                Ok(ticket) => {
-                    let id = ticket.id();
-                    let outcome = ticket.wait();
-                    let respond_start = Instant::now();
-                    let result = write_response(
-                        stream,
-                        "200 OK",
-                        JSON_CONTENT_TYPE,
-                        None,
-                        &outcome_json(&outcome),
-                    );
-                    if profiled {
-                        // The respond span is only knowable after the
-                        // bytes are on the wire; stitch it in post-hoc.
-                        service.finish_trace(id, respond_start.elapsed().as_nanos() as u64);
-                    }
-                    result
-                }
-                Err(rejection) => rejection_response(stream, &rejection),
+            let Some(outcome) = await_outcome(&ticket, stream, config.read_timeout) else {
+                // The client left, so nobody reads a response.
+                return Ok(());
+            };
+            let respond_start = Instant::now();
+            let result = write_response(
+                stream,
+                "200 OK",
+                JSON_CONTENT_TYPE,
+                None,
+                &outcome_json(&outcome),
+            );
+            if profiled {
+                // The respond span is only knowable after the
+                // bytes are on the wire; stitch it in post-hoc.
+                service.finish_trace(ticket.id(), respond_start.elapsed().as_nanos() as u64);
             }
+            result
         }
         _ => plain_error(stream, "404 Not Found", "no such route"),
+    }
+}
+
+/// The job's outcome, waited for in slices of `slice`.  After each slice
+/// a non-blocking peek (which leaves unread any bytes the client sent
+/// after the request) checks on the client: once it reads the client's
+/// EOF or an error, the job is cancelled and `None` returned.  A job
+/// cancelled while queued resolves `Cancelled` without running.
+fn await_outcome(ticket: &JobTicket, stream: &TcpStream, slice: Duration) -> Option<JobOutcome> {
+    loop {
+        if let Some(outcome) = ticket.wait_timeout(slice) {
+            return Some(outcome);
+        }
+        if stream.set_nonblocking(true).is_ok() {
+            let peeked = stream.peek(&mut [0u8; 1]);
+            let _ = stream.set_nonblocking(false);
+            if matches!(peeked, Ok(0))
+                || peeked.is_err_and(|e| e.kind() != io::ErrorKind::WouldBlock)
+            {
+                ticket.cancel();
+                return None;
+            }
+        }
     }
 }
 
@@ -852,7 +851,9 @@ fn wants_prometheus(query: &str, accept: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     /// Poll `done` for up to five seconds.
     fn eventually(mut done: impl FnMut() -> bool) -> bool {
@@ -866,85 +867,158 @@ mod tests {
         true
     }
 
+    /// A front fed through a channel: each item is one `accept` result.
+    struct Fake {
+        incoming: Mutex<mpsc::Receiver<io::Result<u32>>>,
+        accepts: AtomicUsize,
+        serve: Box<dyn Fn(u32) + Send + Sync>,
+        refused: mpsc::Sender<u32>,
+    }
+
+    impl Front for Fake {
+        type Conn = u32;
+
+        fn accept(&self) -> io::Result<u32> {
+            self.accepts.fetch_add(1, Ordering::SeqCst);
+            let incoming = self.incoming.lock().unwrap();
+            incoming
+                .recv()
+                .unwrap_or_else(|_| Err(io::Error::other("feed closed")))
+        }
+
+        fn serve(&self, conn: u32) {
+            (self.serve)(conn);
+        }
+
+        fn refuse(&self, conn: u32) {
+            self.refused.send(conn).unwrap();
+        }
+    }
+
+    type Feed = mpsc::Sender<io::Result<u32>>;
+
+    /// Connection threads on a fake front under `cap`, the channel that
+    /// feeds them connections, and the one their refusals come out of.
+    fn start(
+        cap: usize,
+        serve: impl Fn(u32) + Send + Sync + 'static,
+    ) -> (Arc<Acceptors<Fake>>, Feed, mpsc::Receiver<u32>) {
+        let (feed, incoming) = mpsc::channel();
+        let (refused, refusals) = mpsc::channel();
+        let fake = Fake {
+            incoming: Mutex::new(incoming),
+            accepts: AtomicUsize::new(0),
+            serve: Box::new(serve),
+            refused,
+        };
+        (Acceptors::start(fake, cap).unwrap(), feed, refusals)
+    }
+
+    /// Stop the threads, waking the idle ones as `HttpServer::shutdown`
+    /// does: one connection each.
+    fn stop(acceptors: &Acceptors<Fake>, feed: &Feed) {
+        for _ in 0..acceptors.stop() {
+            feed.send(Ok(u32::MAX)).unwrap();
+        }
+    }
+
+    /// Every live thread is back in `accept`.
+    fn settled(acceptors: &Acceptors<Fake>) -> bool {
+        let census = acceptors.lock();
+        census.live == census.idle
+    }
+
+    const WAIT: Duration = Duration::from_secs(5);
+
     #[test]
     fn a_panicking_connection_thread_gives_its_place_back() {
         let (served, seen) = mpsc::channel();
-        let pool = ConnectionPool::new(1, move |n: u32| {
+        let (acceptors, feed, refusals) = start(1, move |n| {
             assert_ne!(n, 0, "connection 0 panics its thread");
             served.send(n).unwrap();
         });
-        assert!(pool.dispatch(0).is_ok());
-        assert!(eventually(|| pool.threads.lock().live == 0));
-        // The cap is 1 and the panicked thread is gone: the next
-        // connection gets a fresh thread, not a refusal.
-        assert!(pool.dispatch(1).is_ok());
-        assert_eq!(seen.recv_timeout(Duration::from_secs(5)), Ok(1));
+        feed.send(Ok(0)).unwrap();
+        // The panicked thread is gone; its replacement waits in accept.
+        assert!(eventually(|| {
+            acceptors.front.accepts.load(Ordering::SeqCst) == 2 && acceptors.lock().live == 1
+        }));
+        // The cap is 1: the next connection is served, not refused.
+        feed.send(Ok(1)).unwrap();
+        assert_eq!(seen.recv_timeout(WAIT), Ok(1));
+        assert!(refusals.try_recv().is_err());
+        stop(&acceptors, &feed);
     }
 
     #[test]
     fn the_cap_refuses_while_every_thread_is_busy() {
         let (release, gate) = mpsc::sync_channel::<()>(0);
         let gate = Mutex::new(gate);
-        let pool = ConnectionPool::new(1, move |()| {
-            let _ = gate.lock().unwrap().recv();
+        let (acceptors, feed, refusals) = start(1, move |_| {
+            gate.lock().unwrap().recv().unwrap();
         });
-        assert!(pool.dispatch(()).is_ok());
-        assert_eq!(pool.dispatch(()), Err(()));
+        // Connection 1 takes the one serving place; the thread it
+        // spawned is left in accept, and refuses connection 2.
+        feed.send(Ok(1)).unwrap();
+        feed.send(Ok(2)).unwrap();
+        assert_eq!(refusals.recv_timeout(WAIT), Ok(2));
+        assert_eq!(acceptors.lock().live, 2);
         release.send(()).unwrap();
-        assert!(eventually(|| pool.threads.lock().parked.len() == 1));
-        assert!(pool.dispatch(()).is_ok());
+        assert!(eventually(|| settled(&acceptors)));
+        // The rendezvous completes only once connection 3 is served.
+        feed.send(Ok(3)).unwrap();
         release.send(()).unwrap();
+        assert!(refusals.try_recv().is_err());
+        stop(&acceptors, &feed);
     }
 
     #[test]
     fn threads_are_reused_then_retire_after_their_quota() {
         let (served, seen) = mpsc::channel();
-        let pool = ConnectionPool::new(4, move |()| {
+        let (acceptors, feed, _refusals) = start(4, move |_| {
             served.send(std::thread::current().id()).unwrap();
         });
-        let mut ids = Vec::new();
-        for _ in 0..2 * CONNECTIONS_PER_THREAD + 1 {
-            assert!(pool.dispatch(()).is_ok());
-            ids.push(seen.recv_timeout(Duration::from_secs(5)).unwrap());
-            // Wait for the thread to park again or, at its quota, exit.
-            assert!(eventually(|| {
-                let state = pool.threads.lock();
-                state.parked.len() == 1 || state.live == 0
-            }));
+        let mut per_thread = HashMap::new();
+        for n in 0..2 * CONNECTIONS_PER_THREAD + 1 {
+            feed.send(Ok(n as u32)).unwrap();
+            *per_thread
+                .entry(seen.recv_timeout(WAIT).unwrap())
+                .or_insert(0) += 1;
+            // Wait for the thread to return to accept or, at its quota,
+            // exit.  Serial connections keep one thread serving and one
+            // accepting.
+            assert!(eventually(|| settled(&acceptors)));
+            assert!(acceptors.lock().live <= 2);
         }
-        let per_thread = CONNECTIONS_PER_THREAD;
-        assert!(ids[..per_thread].iter().all(|id| *id == ids[0]));
-        assert!(ids[per_thread..2 * per_thread]
-            .iter()
-            .all(|id| *id == ids[per_thread]));
-        assert_ne!(ids[0], ids[per_thread]);
-        assert_ne!(ids[per_thread], ids[2 * per_thread]);
+        // Two threads would serve all 129 only past their quota.
+        assert!(per_thread.values().all(|&n| n <= CONNECTIONS_PER_THREAD));
+        assert!(per_thread.values().any(|&n| n == CONNECTIONS_PER_THREAD));
+        assert!(per_thread.len() >= 3, "{per_thread:?}");
+        stop(&acceptors, &feed);
     }
 
     #[test]
-    fn dropping_the_pool_retires_parked_and_busy_threads() {
+    fn stopping_retires_idle_and_busy_threads() {
         let (release, gate) = mpsc::sync_channel::<()>(0);
         let gate = Mutex::new(gate);
-        let pool = ConnectionPool::new(4, move |busy: bool| {
-            if busy {
-                let _ = gate.lock().unwrap().recv();
+        let (acceptors, feed, _refusals) = start(4, move |busy| {
+            if busy == 1 {
+                gate.lock().unwrap().recv().unwrap();
             }
         });
-        assert!(pool.dispatch(false).is_ok());
-        assert!(eventually(|| pool.threads.lock().parked.len() == 1));
-        assert!(pool.dispatch(true).is_ok());
-        // The parked thread takes the busy connection; hand the next
-        // one to a second thread so one parks while one serves.
-        assert!(pool.dispatch(false).is_ok());
-        assert!(eventually(|| pool.threads.lock().parked.len() == 1));
-        let threads = Arc::clone(&pool.threads);
-        drop(pool);
-        // The parked thread exits at once; the busy one after its
-        // connection, instead of parking again.
-        assert!(eventually(|| threads.lock().live == 1));
+        feed.send(Ok(0)).unwrap();
+        assert!(eventually(
+            || settled(&acceptors) && acceptors.lock().live == 2
+        ));
+        // One thread serves the busy connection while one accepts.
+        feed.send(Ok(1)).unwrap();
+        assert!(eventually(|| acceptors.lock().idle == 1));
+        stop(&acceptors, &feed);
+        // The idle thread exits at once; the busy one after its
+        // connection, instead of accepting again.
+        assert!(eventually(|| acceptors.lock().live == 1));
         release.send(()).unwrap();
-        assert!(eventually(|| threads.lock().live == 0));
-        assert!(threads.lock().parked.is_empty());
+        assert!(eventually(|| acceptors.lock().live == 0));
+        assert_eq!(acceptors.lock().idle, 0);
     }
 
     #[test]
@@ -960,78 +1034,55 @@ mod tests {
 
     #[test]
     fn persistent_accept_errors_back_off_instead_of_spinning() {
-        let stop = AtomicBool::new(false);
-        let calls = AtomicUsize::new(0);
+        let (served, seen) = mpsc::channel();
+        let (acceptors, feed, _refusals) = start(4, move |n| served.send(n).unwrap());
         let started = Instant::now();
-        accept_loop(
-            || -> io::Result<()> {
-                // Stop once the pauses have reached their cap.
-                if calls.fetch_add(1, Ordering::SeqCst) == 9 {
-                    stop.store(true, Ordering::SeqCst);
-                }
-                Err(io::Error::other("too many open files"))
-            },
-            &stop,
-            |()| panic!("nothing was accepted"),
-        );
-        // Nine failures slept 1+2+...+64+100+100 ms.
-        assert_eq!(calls.load(Ordering::SeqCst), 10);
+        for _ in 0..9 {
+            feed.send(Err(io::Error::other("too many open files")))
+                .unwrap();
+        }
+        feed.send(Ok(7)).unwrap();
+        assert_eq!(seen.recv_timeout(WAIT), Ok(7));
+        // Nine failures slept 1+2+...+64+100+100 ms first.
         assert!(started.elapsed() >= Duration::from_millis(327));
+        stop(&acceptors, &feed);
     }
 
     #[test]
     fn shutdown_during_backoff_is_bounded() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let calls = Arc::new(AtomicUsize::new(0));
-        let looping = {
-            let (stop, calls) = (Arc::clone(&stop), Arc::clone(&calls));
-            std::thread::spawn(move || {
-                accept_loop(
-                    || -> io::Result<()> {
-                        calls.fetch_add(1, Ordering::SeqCst);
-                        Err(io::Error::other("too many open files"))
-                    },
-                    &stop,
-                    |()| {},
-                );
-            })
-        };
+        let (acceptors, feed, _refusals) = start(4, |_| {});
         // Let the pauses grow to their 100 ms cap, then stop mid-pause.
-        while calls.load(Ordering::SeqCst) < 9 {
-            std::thread::sleep(Duration::from_millis(5));
+        for _ in 0..9 {
+            feed.send(Err(io::Error::other("too many open files")))
+                .unwrap();
         }
+        assert!(eventually(|| acceptors
+            .front
+            .accepts
+            .load(Ordering::SeqCst)
+            >= 9));
         let raised = Instant::now();
-        stop.store(true, Ordering::SeqCst);
-        looping.join().unwrap();
+        stop(&acceptors, &feed);
+        assert!(eventually(|| acceptors.lock().live == 0));
         // One pause (at most 100 ms) and one accept, with slack for a
         // loaded host.
         assert!(raised.elapsed() < Duration::from_millis(1_000));
         // A hot loop would have made millions of calls by now.
-        assert!(calls.load(Ordering::SeqCst) < 20);
+        assert!(acceptors.front.accepts.load(Ordering::SeqCst) < 20);
     }
 
     #[test]
-    fn accepted_streams_reach_serve_until_stop() {
-        let stop = AtomicBool::new(false);
-        let script = std::cell::Cell::new(0);
-        let served = std::cell::RefCell::new(Vec::new());
-        accept_loop(
-            || {
-                let n = script.get();
-                script.set(n + 1);
-                match n {
-                    0 | 1 | 3 => Err(io::Error::other("transient")),
-                    5 => {
-                        stop.store(true, Ordering::SeqCst);
-                        Ok(n)
-                    }
-                    _ => Ok(n),
-                }
-            },
-            &stop,
-            |n| served.borrow_mut().push(n),
-        );
-        // The accept that raced the stop flag is not served.
-        assert_eq!(served.into_inner(), [2, 4]);
+    fn a_connection_accepted_after_the_stop_is_not_served() {
+        let (served, seen) = mpsc::channel();
+        let (acceptors, feed, _refusals) = start(4, move |n| served.send(n).unwrap());
+        feed.send(Ok(1)).unwrap();
+        assert_eq!(seen.recv_timeout(WAIT), Ok(1));
+        assert!(eventually(|| settled(&acceptors)));
+        let idle = acceptors.stop();
+        for n in 0..idle {
+            feed.send(Ok(2 + n as u32)).unwrap();
+        }
+        assert!(eventually(|| acceptors.lock().live == 0));
+        assert!(seen.try_recv().is_err());
     }
 }

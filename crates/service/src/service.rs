@@ -1,8 +1,14 @@
 //! The service core: a bounded worker pool draining the DRR queue, with
 //! admission control at `submit` and a typed terminal outcome delivered
 //! to every admitted job's ticket — also when the run panics: the
-//! worker catches the panic, resolves the ticket `Failed` with an
-//! `internal:` error and goes on to the next job.
+//! thread running the job catches the panic, resolves the ticket
+//! `Failed` with an `internal:` error and goes on.
+//!
+//! [`Service::call`] admits exactly as `submit` does, and runs a cheap
+//! job on the calling thread when a worker would start it at once: the
+//! service is not paused, fewer than `workers` jobs are running, and the
+//! DRR queue holds nothing else.  At most `workers` jobs run at a time,
+//! whichever threads run them.
 //!
 //! All admission decisions run on a caller-supplied millisecond clock
 //! (the HTTP layer feeds wall time, the chaos harness a scripted virtual
@@ -25,6 +31,16 @@ use crate::quota::{QuotaConfig, QuotaLedger};
 
 /// Finished job traces retained for `GET /trace/jobs` (oldest evicted).
 pub const TRACE_RING: usize = 32;
+
+/// The highest admission cost ([`crate::proto::JobKind::cost`]) of a job
+/// [`Service::call`] runs on its caller: a classify, an estimate or a
+/// simulation of fewer than 16 cores, which take microseconds.  A costlier job runs
+/// for milliseconds, and then the thread it runs on matters: the caller
+/// was woken by its client's connection, which Linux places on the
+/// client's CPU, and two such client-and-caller pairs can share one CPU
+/// while the other idles.  A worker woken through the queue is placed on
+/// an idle CPU instead (DESIGN.md §11).
+pub const CALLER_MAX_COST: u64 = 1;
 
 /// Environment knob for the bounded queue depth.
 pub const QUEUE_ENV: &str = "SKILLTAX_SERVICE_QUEUE";
@@ -100,6 +116,10 @@ pub struct ServiceMetrics {
     /// Connections the HTTP front end refused with `503` because every
     /// connection thread was busy (see [`Service::job_capacity`]).
     pub refused_connections: u64,
+    /// Jobs run on the thread that offered them ([`Service::call`]).
+    pub caller_runs: u64,
+    /// Jobs run on a worker thread.
+    pub worker_runs: u64,
 }
 
 impl ServiceMetrics {
@@ -146,6 +166,7 @@ pub struct JobTrace {
 }
 
 /// Profiling context carried by an opted-in job.
+#[derive(Debug)]
 struct ProfileCtx {
     /// Nanoseconds the HTTP layer spent parsing the request body.
     parse_ns: u64,
@@ -154,6 +175,7 @@ struct ProfileCtx {
 }
 
 /// One admitted job as it travels the queue.
+#[derive(Debug)]
 struct Job {
     id: u64,
     request: JobRequest,
@@ -233,10 +255,21 @@ struct DispatchState {
     shutdown: bool,
 }
 
+/// Which kind of thread runs a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Runner {
+    /// The thread that offered it, inside [`Service::call`].
+    Caller,
+    /// A worker thread.
+    Worker,
+}
+
 struct Inner {
     config: ServiceConfig,
     state: Mutex<DispatchState>,
     work_ready: Condvar,
+    /// Signalled when the last running job finishes during shutdown.
+    drained: Condvar,
     engine: Engine,
     /// Bounded ring of finished profiled-job traces (oldest evicted).
     traces: Mutex<VecDeque<JobTrace>>,
@@ -266,9 +299,8 @@ fn deliver(slot: &OutcomeSlot, outcome: JobOutcome) {
     cv.notify_all();
 }
 
-/// Simulated cycles a terminal outcome consumed, when the job ran.
-/// The typed outcome of a job whose run panicked: the worker survives,
-/// and the ticket resolves `Failed` with an `internal:` error.
+/// The typed outcome of a job whose run panicked: the thread running it
+/// survives, and the ticket resolves `Failed` with an `internal:` error.
 fn panicked(payload: Box<dyn Any + Send>) -> JobOutcome {
     let message = payload
         .downcast_ref::<&str>()
@@ -281,6 +313,7 @@ fn panicked(payload: Box<dyn Any + Send>) -> JobOutcome {
     }
 }
 
+/// Simulated cycles a terminal outcome consumed, when the job ran.
 fn outcome_cycles(outcome: &JobOutcome) -> Option<u64> {
     match outcome {
         JobOutcome::Completed {
@@ -366,6 +399,104 @@ fn assemble_trace(
     }
 }
 
+impl Inner {
+    /// Jobs allowed to run at once, on workers and callers together.
+    fn workers(&self) -> usize {
+        self.config.workers.max(1)
+    }
+
+    /// Run `job`, already counted in `in_flight`, to its typed outcome on
+    /// this thread: a panicking run fails its job, not the thread.  Then
+    /// record the metrics, retain a profiled job's trace and deliver the
+    /// outcome.  Workers and [`Service::call`] share this.
+    fn run(&self, job: Job, runner: Runner) {
+        let waited = job.enqueued.elapsed();
+        let picked = Instant::now();
+        let mut capture: Option<(RunCapture, u64, u64)> = None;
+        // Cancelled while queued: resolve without running.
+        let runs = !job.cancel.is_cancelled();
+        let outcome = if !runs {
+            JobOutcome::Cancelled {
+                at_cycle: 0,
+                partial: Default::default(),
+            }
+        } else if job.profile.is_some() {
+            let run_start = Instant::now();
+            let acquire_ns = (run_start - picked).as_nanos() as u64;
+            match catch_unwind(AssertUnwindSafe(|| {
+                self.engine.execute_profiled(&job.request, &job.cancel)
+            })) {
+                Ok((outcome, run)) => {
+                    let run_wall_ns = run_start.elapsed().as_nanos() as u64;
+                    capture = Some((run, acquire_ns, run_wall_ns));
+                    outcome
+                }
+                Err(payload) => panicked(payload),
+            }
+        } else {
+            catch_unwind(AssertUnwindSafe(|| {
+                self.engine.execute(&job.request, &job.cancel)
+            }))
+            .unwrap_or_else(panicked)
+        };
+        {
+            let mut state = self.state.lock().expect("service lock poisoned");
+            state.metrics.in_flight -= 1;
+            if runs {
+                match runner {
+                    Runner::Caller => state.metrics.caller_runs += 1,
+                    Runner::Worker => state.metrics.worker_runs += 1,
+                }
+            }
+            *state.metrics.outcomes.entry(outcome.label()).or_insert(0) += 1;
+            state
+                .metrics
+                .per_tenant
+                .entry(job.request.tenant.clone())
+                .or_insert((0, 0))
+                .1 += 1;
+            state
+                .metrics
+                .queue_wait_ms
+                .record(waited.as_millis() as u64);
+            if let Some(cycles) = outcome_cycles(&outcome) {
+                state.metrics.run_cycles.record(cycles);
+            }
+            if let Some((run, _, _)) = &capture {
+                state.metrics.trace_events_dropped += run.events_dropped;
+            }
+            // A worker held back by the running-job cap may start the
+            // next job now; a worker returning from here pops it itself.
+            if runner == Runner::Caller && state.queue.depth() > 0 {
+                self.work_ready.notify_one();
+            }
+            if state.shutdown && state.metrics.in_flight == 0 {
+                self.drained.notify_all();
+            }
+        }
+        if let (Some(ctx), Some((run, acquire_ns, run_wall_ns))) = (&job.profile, capture) {
+            let admission_ns = (job.enqueued - ctx.admission_start).as_nanos() as u64;
+            let trace = assemble_trace(
+                job.id,
+                &job.request,
+                &outcome,
+                &run,
+                ctx.parse_ns,
+                admission_ns,
+                waited.as_nanos() as u64,
+                acquire_ns,
+                run_wall_ns,
+            );
+            let mut traces = self.traces.lock().expect("trace ring poisoned");
+            if traces.len() == TRACE_RING {
+                traces.pop_front();
+            }
+            traces.push_back(trace);
+        }
+        deliver(&job.slot, outcome);
+    }
+}
+
 impl Service {
     /// Start the service: spawns the worker pool and prewarms the
     /// machine pool so the first requests hit the zero-allocation path.
@@ -385,6 +516,7 @@ impl Service {
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
+            drained: Condvar::new(),
             engine,
             config,
             traces: Mutex::new(VecDeque::new()),
@@ -410,7 +542,7 @@ impl Service {
                     if state.shutdown && state.queue.depth() == 0 {
                         return;
                     }
-                    if !state.paused {
+                    if !state.paused && state.metrics.in_flight < inner.workers() {
                         if let Some(queued) = state.queue.pop() {
                             state.metrics.in_flight += 1;
                             break queued.payload;
@@ -419,114 +551,77 @@ impl Service {
                     state = inner.work_ready.wait(state).expect("service lock poisoned");
                 }
             };
-            let waited = job.enqueued.elapsed();
-            let picked = Instant::now();
-            let mut capture: Option<(RunCapture, u64, u64)> = None;
-            let outcome = if job.cancel.is_cancelled() {
-                // Cancelled while queued: resolve without running.
-                JobOutcome::Cancelled {
-                    at_cycle: 0,
-                    partial: Default::default(),
-                }
-            } else if job.profile.is_some() {
-                let run_start = Instant::now();
-                let acquire_ns = (run_start - picked).as_nanos() as u64;
-                // A panicking run fails its job, not the worker.
-                match catch_unwind(AssertUnwindSafe(|| {
-                    inner.engine.execute_profiled(&job.request, &job.cancel)
-                })) {
-                    Ok((outcome, run)) => {
-                        let run_wall_ns = run_start.elapsed().as_nanos() as u64;
-                        capture = Some((run, acquire_ns, run_wall_ns));
-                        outcome
-                    }
-                    Err(payload) => panicked(payload),
-                }
-            } else {
-                catch_unwind(AssertUnwindSafe(|| {
-                    inner.engine.execute(&job.request, &job.cancel)
-                }))
-                .unwrap_or_else(panicked)
-            };
-            {
-                let mut state = inner.state.lock().expect("service lock poisoned");
-                state.metrics.in_flight -= 1;
-                *state.metrics.outcomes.entry(outcome.label()).or_insert(0) += 1;
-                state
-                    .metrics
-                    .per_tenant
-                    .entry(job.request.tenant.clone())
-                    .or_insert((0, 0))
-                    .1 += 1;
-                state
-                    .metrics
-                    .queue_wait_ms
-                    .record(waited.as_millis() as u64);
-                if let Some(cycles) = outcome_cycles(&outcome) {
-                    state.metrics.run_cycles.record(cycles);
-                }
-                if let Some((run, _, _)) = &capture {
-                    state.metrics.trace_events_dropped += run.events_dropped;
-                }
-            }
-            if let (Some(ctx), Some((run, acquire_ns, run_wall_ns))) = (&job.profile, capture) {
-                let admission_ns = (job.enqueued - ctx.admission_start).as_nanos() as u64;
-                let trace = assemble_trace(
-                    job.id,
-                    &job.request,
-                    &outcome,
-                    &run,
-                    ctx.parse_ns,
-                    admission_ns,
-                    waited.as_nanos() as u64,
-                    acquire_ns,
-                    run_wall_ns,
-                );
-                let mut traces = inner.traces.lock().expect("trace ring poisoned");
-                if traces.len() == TRACE_RING {
-                    traces.pop_front();
-                }
-                traces.push_back(trace);
-            }
-            deliver(&job.slot, outcome);
+            inner.run(job, Runner::Worker);
         }
     }
 
     /// Offer a request at `now_ms` on the caller's clock.  Admission is
     /// all-or-nothing: a typed [`Rejection`] (with a retry hint where
     /// retrying helps) or a [`JobTicket`] that is guaranteed a typed
-    /// terminal outcome.
+    /// terminal outcome.  A worker runs the job.
     pub fn submit(&self, now_ms: u64, request: JobRequest) -> Result<JobTicket, Rejection> {
-        self.submit_inner(now_ms, request, None)
+        let mut state = self.inner.state.lock().expect("service lock poisoned");
+        let ticket = self.admit(&mut state, now_ms, request, None)?;
+        drop(state);
+        self.inner.work_ready.notify_one();
+        Ok(ticket)
     }
 
-    /// [`Service::submit`] with span profiling: the job's service and
-    /// machine phases are traced and the assembled timeline retained in
-    /// a bounded ring ([`Service::traces`]).  `parse_ns` is how long the
+    /// Offer a request as [`Service::submit`] does (the same checks,
+    /// quota charge and queue push) and, when a worker would start it at
+    /// once, run it on the calling thread before returning: the service
+    /// is not paused, fewer than `workers` jobs are running, and the DRR
+    /// pop yields this job.  Only jobs of admission cost
+    /// [`CALLER_MAX_COST`] run there.  The returned ticket has then
+    /// resolved; otherwise a worker takes the job and the ticket
+    /// resolves later.
+    ///
+    /// With `parse_ns` the job is span-profiled: its service and machine
+    /// phases are traced and the assembled timeline retained in a
+    /// bounded ring ([`Service::traces`]).  `parse_ns` is how long the
     /// caller spent parsing the request (the timeline's first phase).
-    pub fn submit_profiled(
+    pub fn call(
         &self,
         now_ms: u64,
         request: JobRequest,
-        parse_ns: u64,
+        parse_ns: Option<u64>,
     ) -> Result<JobTicket, Rejection> {
-        self.submit_inner(
-            now_ms,
-            request,
-            Some(ProfileCtx {
-                parse_ns,
-                admission_start: Instant::now(),
-            }),
-        )
+        let profile = parse_ns.map(|parse_ns| ProfileCtx {
+            parse_ns,
+            admission_start: Instant::now(),
+        });
+        let cheap = request.kind.cost() <= CALLER_MAX_COST;
+        let mut state = self.inner.state.lock().expect("service lock poisoned");
+        let ticket = self.admit(&mut state, now_ms, request, profile)?;
+        // A free slot with nothing paused means every job queued before
+        // this one already has a worker on its way, so the pop yields
+        // this job only when the queue holds nothing else.
+        if cheap
+            && !state.paused
+            && state.metrics.in_flight < self.inner.workers()
+            && state.queue.depth() == 1
+        {
+            let job = state.queue.pop().expect("the queue holds this job").payload;
+            debug_assert_eq!(job.id, ticket.id);
+            state.metrics.in_flight += 1;
+            drop(state);
+            self.inner.run(job, Runner::Caller);
+        } else {
+            drop(state);
+            self.inner.work_ready.notify_one();
+        }
+        Ok(ticket)
     }
 
-    fn submit_inner(
+    /// Admission under the dispatch lock: the four doors in order, then
+    /// the quota charge and the DRR push.
+    fn admit(
         &self,
+        state: &mut DispatchState,
         now_ms: u64,
         request: JobRequest,
         profile: Option<ProfileCtx>,
     ) -> Result<JobTicket, Rejection> {
-        let mut state = self.inner.state.lock().expect("service lock poisoned");
         state.metrics.submitted += 1;
         if state.shutdown {
             state.metrics.rejected_shutdown += 1;
@@ -579,8 +674,6 @@ impl Service {
         state.metrics.admitted += 1;
         state.metrics.peak_depth = state.queue.peak_depth();
         state.metrics.per_tenant.entry(tenant).or_insert((0, 0)).0 += 1;
-        drop(state);
-        self.inner.work_ready.notify_one();
         Ok(JobTicket { id, cancel, slot })
     }
 
@@ -663,8 +756,8 @@ impl Service {
     }
 
     /// Drain and stop: refuse new work, let the workers finish every
-    /// queued job (each still reaches its typed outcome), then join the
-    /// pool.  Idempotent.
+    /// queued job (each still reaches its typed outcome), join the pool,
+    /// and wait until no caller runs a job.  Idempotent.
     pub fn shutdown(&self) {
         {
             let mut state = self.inner.state.lock().expect("service lock poisoned");
@@ -675,6 +768,14 @@ impl Service {
         let mut workers = self.workers.lock().expect("worker handles poisoned");
         for handle in workers.drain(..) {
             let _ = handle.join();
+        }
+        let mut state = self.inner.state.lock().expect("service lock poisoned");
+        while state.metrics.in_flight > 0 {
+            state = self
+                .inner
+                .drained
+                .wait(state)
+                .expect("service lock poisoned");
         }
     }
 }
@@ -827,6 +928,129 @@ mod tests {
             service.submit(0, simulate("acme", 10)),
             Err(Rejection::ShuttingDown)
         ));
+    }
+
+    /// A job that waits at the engine's test gate once it runs.
+    fn gated() -> JobRequest {
+        simulate(crate::engine::tests::GATE_TENANT, 10)
+    }
+
+    /// Poll `done` for up to five seconds.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn a_call_runs_on_its_caller_and_a_second_call_queues_behind_it() {
+        let service = Service::start(config(8, 1));
+        // Both jobs wait at the gate once they run, so a second job
+        // started early would hold a second slot until the gate opens.
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| service.call(0, gated(), None).unwrap());
+            assert!(eventually(|| service.metrics().in_flight == 1));
+            let second = service.call(0, gated(), None).unwrap();
+            assert_eq!(second.wait_timeout(Duration::from_millis(100)), None);
+            let metrics = service.metrics();
+            assert_eq!((metrics.in_flight, metrics.caller_runs), (1, 0));
+            crate::engine::tests::open_gate();
+            let first = first.join().unwrap();
+            assert!(matches!(
+                first.try_wait(),
+                Some(JobOutcome::Completed { .. })
+            ));
+            assert!(matches!(second.wait(), JobOutcome::Completed { .. }));
+        });
+        let metrics = service.metrics();
+        assert_eq!((metrics.caller_runs, metrics.worker_runs), (1, 1));
+        assert_eq!(metrics.in_flight, 0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_costly_call_goes_to_a_worker() {
+        let service = Service::start(config(8, 1));
+        let request = JobRequest {
+            kind: JobKind::Simulate {
+                cores: 32,
+                iters: 10,
+                fault_seed: None,
+            },
+            ..simulate("acme", 10)
+        };
+        assert!(request.kind.cost() > CALLER_MAX_COST);
+        let ticket = service.call(0, request, None).unwrap();
+        assert!(matches!(ticket.wait(), JobOutcome::Completed { .. }));
+        let metrics = service.metrics();
+        assert_eq!((metrics.caller_runs, metrics.worker_runs), (0, 1));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_paused_service_runs_nothing_on_the_caller() {
+        let service = Service::start(config(8, 1));
+        service.pause();
+        let ticket = service.call(0, simulate("acme", 40), None).unwrap();
+        assert_eq!(ticket.try_wait(), None);
+        assert_eq!(service.metrics().caller_runs, 0);
+        service.resume();
+        assert!(matches!(ticket.wait(), JobOutcome::Completed { .. }));
+        let metrics = service.metrics();
+        assert_eq!((metrics.caller_runs, metrics.worker_runs), (0, 1));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_caller_run_fails_typed_and_frees_its_slot() {
+        let service = Service::start(config(8, 1));
+        let ticket = service
+            .call(0, simulate(crate::engine::tests::PANIC_TENANT, 40), None)
+            .unwrap();
+        match ticket.try_wait() {
+            Some(JobOutcome::Failed { error, retries: 0 }) => {
+                assert!(error.starts_with("internal:"), "{error}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(service.metrics().in_flight, 0);
+        let next = service.call(0, simulate("acme", 40), None).unwrap();
+        assert!(matches!(
+            next.try_wait(),
+            Some(JobOutcome::Completed { .. })
+        ));
+        let metrics = service.metrics();
+        assert_eq!((metrics.caller_runs, metrics.worker_runs), (2, 0));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_caller_run_leaves_the_drr_queue_as_a_worker_pop_does() {
+        // A quantum above the cost leaves deficit banked in the lanes.
+        let mut cfg = config(8, 1);
+        cfg.drr_quantum = 4;
+        let by_caller = Service::start(cfg);
+        let by_worker = Service::start(cfg);
+        for tenant in ["a", "b", "a", "c"] {
+            let request = simulate(tenant, 10);
+            let ticket = by_caller.call(0, request.clone(), None).unwrap();
+            assert!(ticket.try_wait().is_some(), "ran on its caller");
+            by_worker.pause();
+            let ticket = by_worker.submit(0, request).unwrap();
+            by_worker.resume();
+            ticket.wait();
+        }
+        let queue = |service: &Service| format!("{:?}", service.inner.state.lock().unwrap().queue);
+        assert_eq!(queue(&by_caller), queue(&by_worker));
+        assert_eq!(by_caller.metrics().caller_runs, 4);
+        assert_eq!(by_worker.metrics().worker_runs, 4);
+        by_caller.shutdown();
+        by_worker.shutdown();
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! `Retry-After`, header/body caps, and the slow-loris defences.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use skilltax_service::{serve, HttpConfig, Service, ServiceConfig};
 
@@ -176,6 +176,38 @@ fn a_full_queue_is_429_with_a_retry_after_header() {
         "{response}"
     );
     service.resume();
+}
+
+#[test]
+fn a_client_that_leaves_while_its_job_queues_cancels_it() {
+    let (service, server) = start(8, 1);
+    service.pause();
+    let mut client = TcpStream::connect(server.local_addr()).expect("connect");
+    let body = "tenant=t&kind=simulate&iters=20";
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    client.write_all(request.as_bytes()).expect("write request");
+    // The server sees the client's EOF as it would a closed client, and
+    // the open read half shows when the server gave up: it closes
+    // without a response.
+    client.shutdown(Shutdown::Write).expect("half-close");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut response = String::new();
+    client.read_to_string(&mut response).expect("read close");
+    assert_eq!(response, "");
+    service.resume();
+    // A worker pops the cancelled job and resolves it without a run.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !service.metrics().outcomes.contains_key("cancelled") && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let metrics = service.metrics();
+    assert_eq!(metrics.outcomes.get("cancelled"), Some(&1));
+    assert_eq!((metrics.caller_runs, metrics.worker_runs), (0, 0));
 }
 
 #[test]
@@ -493,7 +525,7 @@ fn shutdown_stops_accepting() {
 fn shutdown_retires_connection_threads_and_releases_the_service() {
     let (service, mut server) = start(8, 1);
     let addr = server.local_addr();
-    // Served connections leave their threads parked…
+    // Served connections leave their threads back in accept…
     for _ in 0..3 {
         let health = roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(health.contains("\"ok\":true"), "{health}");
@@ -506,7 +538,7 @@ fn shutdown_retires_connection_threads_and_releases_the_service() {
     assert!(probe.contains("\"ok\":true"), "{probe}");
     server.shutdown();
     // The busy thread answers its stall within one read timeout, then
-    // exits instead of parking; the parked ones have already left.
+    // exits instead of accepting again; the idle ones have already left.
     stalled
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();

@@ -20,6 +20,8 @@ fn sample_metrics() -> ServiceMetrics {
         peak_depth: 4,
         trace_events_dropped: 3,
         refused_connections: 2,
+        caller_runs: 6,
+        worker_runs: 2,
         ..ServiceMetrics::default()
     };
     m.outcomes.insert("completed", 7);
